@@ -623,11 +623,14 @@ TEST(TopKTrackerTest, TracksTheKthBestProbability) {
 
 // The deterministic bound-driven pruning scenario: a skewed multi-pair
 // corpus where hot documents answer with probability ~1 and every cold
-// pair's answer upper bound is ~0.11. With a single worker the claim
-// order is the bound order, so the scheduler's accounting is exact: the
-// hot documents evaluate, the cold documents of the first wave abort in
-// flight once the threshold rises, and the rest are pruned undispatched
-// — while the answers stay bit-identical to the exhaustive fan-out.
+// pair's answer upper bound is ~0.11. With one corpus shard (a single
+// scheduler) and a single worker the claim order is the bound order, so
+// the scheduler's accounting is exact: the hot documents evaluate, the
+// cold documents of the first wave abort in flight once the threshold
+// rises, and the rest are pruned undispatched — while the answers stay
+// bit-identical to the exhaustive fan-out. Under several shards the
+// schedulers race one shared threshold and the counts vary run to run;
+// ShardedSkewedCorpusMatchesExhaustive covers that layout without them.
 TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   SkewedCorpusOptions gen;
   gen.hot_documents = 2;
@@ -640,7 +643,9 @@ TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   SystemOptions opts;
   opts.top_h.h = 30;  // cover the cold pairs' 24-mapping spaces
   opts.cache.enable_result_cache = false;  // measure scheduling, not hits
+  opts.corpus_shards = 1;  // one scheduler: the counts below are exact
   UncertainMatchingSystem sys(opts);
+  ASSERT_EQ(sys.corpus_shard_count(), 1u);
   for (const SkewedPair& pair : scenario->pairs) {
     ASSERT_TRUE(sys.PrepareFromMatching(pair.matching).ok());
   }
@@ -655,7 +660,7 @@ TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   ASSERT_EQ(sys.corpus_size(), 12u);
 
   BatchRunOptions run;
-  run.num_threads = 1;  // sequential claims => deterministic accounting
+  run.num_threads = 1;  // one shard + sequential claims => exact accounting
   CorpusQueryOptions bounded;
   bounded.top_k = 1;
   auto b = sys.RunCorpusBatch({scenario->probe_twig}, bounded, run);
@@ -774,11 +779,55 @@ void ExpectItemInvariant(const CorpusRunReport& r) {
   EXPECT_GE(r.items_failed, 0);
 }
 
+/// What a sharded bounded run promises at any shard count: one report
+/// per shard, each obeying the item invariant, summing field-by-field to
+/// the aggregate. Which bucket an item lands in depends on how the
+/// shards race the shared threshold, so no count is pinned.
+void ExpectShardReportsSumToCorpus(const CorpusBatchResponse& response,
+                                   size_t shards) {
+  ExpectItemInvariant(response.corpus);
+  ASSERT_EQ(response.shard_reports.size(), shards);
+  CorpusRunReport sum;
+  for (const CorpusRunReport& shard : response.shard_reports) {
+    ExpectItemInvariant(shard);
+    sum.items_total += shard.items_total;
+    sum.items_evaluated += shard.items_evaluated;
+    sum.items_pruned += shard.items_pruned;
+    sum.items_aborted += shard.items_aborted;
+    sum.items_aborted_in_kernel += shard.items_aborted_in_kernel;
+    sum.items_failed += shard.items_failed;
+    sum.dispatches += shard.dispatches;
+    sum.items_deadline_skipped += shard.items_deadline_skipped;
+    sum.elapsed_ns += shard.elapsed_ns;
+  }
+  const CorpusRunReport& r = response.corpus;
+  EXPECT_EQ(r.items_total, sum.items_total);
+  EXPECT_EQ(r.items_evaluated, sum.items_evaluated);
+  EXPECT_EQ(r.items_pruned, sum.items_pruned);
+  EXPECT_EQ(r.items_aborted, sum.items_aborted);
+  EXPECT_EQ(r.items_aborted_in_kernel, sum.items_aborted_in_kernel);
+  EXPECT_EQ(r.items_failed, sum.items_failed);
+  EXPECT_EQ(r.dispatches, sum.dispatches);
+  EXPECT_EQ(r.items_deadline_skipped, sum.items_deadline_skipped);
+  EXPECT_EQ(r.elapsed_ns, sum.elapsed_ns);
+}
+
+/// Exact, not DOUBLE_EQ: the shard count must not change a single bit.
+void ExpectBitIdenticalAnswers(const std::vector<CorpusAnswer>& got,
+                               const std::vector<CorpusAnswer>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].document, want[i].document) << "answer " << i;
+    EXPECT_EQ(got[i].probability, want[i].probability) << "answer " << i;
+    EXPECT_EQ(got[i].matches, want[i].matches) << "answer " << i;
+  }
+}
+
 class SinglePairCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SinglePairCorpusOptions gen;
-    gen.hot_documents = 8;  // exactly one wave on a single worker
+    gen.hot_documents = 8;  // exactly one wave on one shard, one worker
     gen.cold_documents = 24;
     gen.doc_target_nodes = 120;
     auto scenario = MakeSinglePairCorpusScenario(gen);
@@ -792,12 +841,19 @@ class SinglePairCorpusTest : public ::testing::Test {
     opts.top_h.h = 16;  // the pair's 12-mapping space, fully enumerated
     opts.cache.enable_result_cache = false;  // measure scheduling, not hits
     opts.cache.enable_bound_cache = bound_cache;
+    opts.corpus_shards = 1;  // one scheduler: the pinned counts are exact
     return opts;
   }
 
-  std::unique_ptr<UncertainMatchingSystem> MakeSystem(bool bound_cache) {
-    auto sys =
-        std::make_unique<UncertainMatchingSystem>(Options(bound_cache));
+  /// `shards` other than 1 is for the Sharded* variants only, which pin
+  /// no counts.
+  std::unique_ptr<UncertainMatchingSystem> MakeSystem(bool bound_cache,
+                                                      int shards = 1) {
+    SystemOptions opts = Options(bound_cache);
+    opts.corpus_shards = shards;
+    auto sys = std::make_unique<UncertainMatchingSystem>(opts);
+    EXPECT_EQ(sys->corpus_shard_count(), static_cast<size_t>(shards))
+        << "the scenario's shard layout";
     EXPECT_TRUE(sys->PrepareFromMatching(scenario_->matching).ok());
     for (size_t i = 0; i < scenario_->documents.size(); ++i) {
       EXPECT_TRUE(sys->AddDocument(scenario_->names[i],
@@ -809,7 +865,7 @@ class SinglePairCorpusTest : public ::testing::Test {
 
   static BatchRunOptions OneThread() {
     BatchRunOptions run;
-    run.num_threads = 1;  // sequential claims => deterministic accounting
+    run.num_threads = 1;  // with one shard: sequential => exact accounting
     return run;
   }
 
@@ -831,9 +887,9 @@ class SinglePairCorpusTest : public ::testing::Test {
 // under one pair, hence one shared pair-level bound) prunes, because the
 // document-sensitive probe sees that cold documents contain no `gold`
 // element and collapses their bounds to the dust-route mass. With one
-// worker the accounting is deterministic: wave 1 is exactly the 8 hot
-// documents, their answers raise the threshold above every cold bound,
-// and all 24 cold items are pruned undispatched.
+// shard and one worker the accounting is deterministic: wave 1 is exactly
+// the 8 hot documents, their answers raise the threshold above every cold
+// bound, and all 24 cold items are pruned undispatched.
 TEST_F(SinglePairCorpusTest, DocumentBoundsPruneAHomogeneousCorpus) {
   auto sys = MakeSystem(/*bound_cache=*/true);
   CorpusQueryOptions bounded;
@@ -931,6 +987,126 @@ TEST_F(SinglePairCorpusTest, FailedTwigChargesItsItemsAndKeepsInvariant) {
   ASSERT_EQ(b->answers[2]->answers.size(), 5u);
   for (const CorpusAnswer& a : b->answers[2]->answers) {
     EXPECT_EQ(a.document.substr(0, 4), "hot-") << a.document;
+  }
+}
+
+// ------------------------------- sharded variants of the pinned cases
+
+// The scenarios above pin their counts under one shard. These run the
+// same scenarios through S in {2, 4} shard schedulers and assert only
+// what sharding promises: answers bit-identical to the exhaustive run
+// and reports that add up. (ShardedPruningTest guards against vacuous
+// pruning; a 12- or 32-document corpus split S ways may fit one wave per
+// shard, so these cases cannot.)
+
+TEST(BoundedCorpusTest, ShardedSkewedCorpusMatchesExhaustive) {
+  SkewedCorpusOptions gen;
+  gen.hot_documents = 2;
+  gen.cold_pairs = 2;
+  gen.cold_documents_per_pair = 5;
+  gen.doc_target_nodes = 60;
+  auto scenario = MakeSkewedCorpusScenario(gen);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SystemOptions opts;
+    opts.top_h.h = 30;
+    opts.cache.enable_result_cache = false;
+    opts.corpus_shards = shards;
+    UncertainMatchingSystem sys(opts);
+    ASSERT_EQ(sys.corpus_shard_count(), static_cast<size_t>(shards));
+    for (const SkewedPair& pair : scenario->pairs) {
+      ASSERT_TRUE(sys.PrepareFromMatching(pair.matching).ok());
+    }
+    for (size_t i = 0; i < scenario->documents.size(); ++i) {
+      const SkewedPair& pair =
+          scenario->pairs[static_cast<size_t>(scenario->doc_pair[i])];
+      ASSERT_TRUE(sys.AddDocument(scenario->names[i],
+                                  scenario->documents[i].get(),
+                                  pair.source.get(), scenario->target.get())
+                      .ok());
+    }
+
+    BatchRunOptions run;
+    run.num_threads = 1;
+    // k = 1 is decided by the hot documents; k = 3 must reach a cold one.
+    for (const int k : {1, 3}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      CorpusQueryOptions bounded;
+      bounded.top_k = k;
+      CorpusQueryOptions exhaustive = bounded;
+      exhaustive.bounded = false;
+      auto b = sys.RunCorpusBatch({scenario->probe_twig}, bounded, run);
+      auto e = sys.RunCorpusBatch({scenario->probe_twig}, exhaustive, run);
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_TRUE(e.ok()) << e.status();
+      ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
+      ASSERT_TRUE(e->answers[0].ok()) << e->answers[0].status();
+      EXPECT_EQ(b->corpus.items_total, 12);
+      ExpectShardReportsSumToCorpus(*b, static_cast<size_t>(shards));
+      ExpectBitIdenticalAnswers(b->answers[0]->answers,
+                                e->answers[0]->answers);
+    }
+  }
+}
+
+TEST_F(SinglePairCorpusTest, ShardedDocumentBoundsMatchExhaustive) {
+  CorpusQueryOptions bounded;
+  bounded.top_k = 5;
+  CorpusQueryOptions exhaustive = bounded;
+  exhaustive.bounded = false;
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto sys = MakeSystem(/*bound_cache=*/true, shards);
+    auto e = sys->RunCorpusBatch({scenario_->probe_twig}, exhaustive,
+                                 OneThread());
+    ASSERT_TRUE(e.ok()) << e.status();
+    ASSERT_TRUE(e->answers[0].ok()) << e->answers[0].status();
+    // The first bounded run fills the bound cache; the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE("pass=" + std::to_string(pass));
+      auto b =
+          sys->RunCorpusBatch({scenario_->probe_twig}, bounded, OneThread());
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
+      EXPECT_EQ(b->corpus.items_total, 32);
+      EXPECT_EQ(b->corpus.items_failed, 0);
+      ExpectShardReportsSumToCorpus(*b, static_cast<size_t>(shards));
+      ExpectBitIdenticalAnswers(b->answers[0]->answers,
+                                e->answers[0]->answers);
+    }
+  }
+}
+
+TEST_F(SinglePairCorpusTest,
+       ShardedFailedTwigChargesItsItemsAndKeepsInvariant) {
+  const std::vector<std::string> twigs = {
+      scenario_->probe_twig, "[[[not a twig", scenario_->deep_probe_twig};
+  CorpusQueryOptions bounded;
+  bounded.top_k = 5;
+  CorpusQueryOptions exhaustive = bounded;
+  exhaustive.bounded = false;
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto sys = MakeSystem(/*bound_cache=*/true, shards);
+    auto b = sys->RunCorpusBatch(twigs, bounded, OneThread());
+    auto e = sys->RunCorpusBatch(twigs, exhaustive, OneThread());
+    ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_TRUE(e.ok()) << e.status();
+    ASSERT_EQ(b->answers.size(), 3u);
+    ASSERT_EQ(e->answers.size(), 3u);
+    EXPECT_TRUE(b->answers[1].status().IsParseError());
+    EXPECT_EQ(b->corpus.items_total, 96);
+    EXPECT_EQ(b->corpus.items_failed, 32);  // the failed twig's documents
+    ExpectShardReportsSumToCorpus(*b, static_cast<size_t>(shards));
+    for (const size_t q : {size_t{0}, size_t{2}}) {
+      SCOPED_TRACE("twig " + std::to_string(q));
+      ASSERT_TRUE(b->answers[q].ok()) << b->answers[q].status();
+      ASSERT_TRUE(e->answers[q].ok()) << e->answers[q].status();
+      ExpectBitIdenticalAnswers(b->answers[q]->answers,
+                                e->answers[q]->answers);
+    }
   }
 }
 
