@@ -262,8 +262,17 @@ Status UncertainMatchingSystem::RemoveDocument(const std::string& name) {
   // No epoch bump: the removed document's cached answers are unreachable
   // (no snapshot lists it any more), and a future re-registration gets a
   // fresh epoch from AddDocument.
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return store_.Remove(name);
+  CorpusDocument removed;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    UXM_RETURN_NOT_OK(store_.Remove(name, &removed));
+  }
+  // Its bounds are unreachable too; drop them now instead of letting
+  // every re-registration leave a bucket behind until the generational
+  // flush. A late insert from an in-flight query lands unreachable and
+  // ages out by flush.
+  registry_.bound_cache()->EraseRegistration(removed.doc, removed.epoch);
+  return Status::OK();
 }
 
 size_t UncertainMatchingSystem::corpus_size() const { return store_.size(); }

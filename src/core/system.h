@@ -117,7 +117,7 @@ struct SystemOptions {
   /// (src/shard/): documents partition across this many per-shard
   /// stores by stable name hash, and bounded corpus batches run one TA
   /// scheduler per shard against shared per-twig thresholds. <= 0
-  /// selects min(hardware threads, 8). 1 disables sharding (the
+  /// selects min(usable CPUs, 8). 1 disables sharding (the
   /// single-scheduler path). Answers are bit-identical for every value.
   int corpus_shards = 0;
 };
@@ -144,7 +144,7 @@ struct BatchQueryRequest {
 
 /// \brief Knobs for one RunBatch call.
 struct BatchRunOptions {
-  int num_threads = 0;       ///< 0 = all hardware threads.
+  int num_threads = 0;       ///< 0 = all usable CPUs.
   bool use_block_tree = true;  ///< Algorithm 4 (true) vs Algorithm 3.
 };
 

@@ -131,6 +131,33 @@ void CertifyAnytimeTopK(const std::vector<const CorpusDocument*>& docs,
 }
 #endif  // NDEBUG
 
+/// The one "provably outside" test behind every prune and every exact
+/// abort: true iff no answer `pi` can produce will ever rank inside its
+/// twig's top-k. `document` is the item's document name.
+///   * An inexact bound (pair bound, probe) carries float noise, so the
+///     item is out only when bound + kAnswerBoundSlack falls strictly
+///     below the threshold.
+///   * An exact bound is the item's realized best answer, bit for bit. It
+///     is out when it falls strictly below the threshold, and also on a
+///     TIE with the k-th answer when `document` sorts after that answer's
+///     document: AnswerBefore breaks equal probabilities by document
+///     name, so every answer of the item ranks after the k-th. The tie
+///     case reads the tracker under race->mu.
+/// The k-th answer only ever improves (Push only tightens), so a true
+/// verdict is final under any concurrent schedule.
+bool ProvablyOutside(const BoundedPoolItem& pi, const std::string& document,
+                     TwigRace* race) {
+  const double threshold = race->threshold.load(std::memory_order_acquire);
+  if (!pi.exact) return pi.bound + kAnswerBoundSlack < threshold;
+  if (pi.bound < threshold) return true;
+  if (pi.bound != threshold) return false;
+  std::lock_guard<std::mutex> lock(race->mu);
+  if (!race->tracker.full()) return false;
+  const CorpusAnswer& kth = race->tracker.kth();
+  return pi.bound < kth.probability ||
+         (pi.bound == kth.probability && document > kth.document);
+}
+
 }  // namespace
 
 void RaiseThreshold(std::atomic<double>* threshold, double value) {
@@ -170,6 +197,7 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
   std::vector<BoundedPoolItem> twig_items;
   for (size_t t = 0; t < num_twigs; ++t) {
     TwigRace& race = *(*ctx.races)[t];
+    const BoundTwig twig_key((*ctx.twigs)[t]);
     // Compile once per distinct pair: the schema-level bound is
     // document-free and shared by all of the pair's documents.
     struct PairInfo {
@@ -218,6 +246,7 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
         break;
       }
       double bound = info.bound;
+      bool exact = false;
       // Once the budget expires the bound phase stops doing real work
       // too: no probes (they walk the document's annotation), just the
       // free pair/cached bounds — the pool still gets every item so the
@@ -226,18 +255,22 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
           ctx.probe_bounds &&
           (ctx.budget == nullptr || !ctx.budget->ExpiredNow());
       if (ctx.bound_cache != nullptr) {
-        const BoundCacheKey key{(*ctx.twigs)[t],
+        const BoundCacheKey key{twig_key,
                                 entry.doc,
                                 entry.epoch,
                                 ctx.item_k,
                                 exec_options.use_block_tree,
                                 entry.pair->pair_id};
         if (const auto cached = ctx.bound_cache->Lookup(key)) {
-          bound = std::min(bound, *cached);
+          // An exact bound is used as-is: min'ing it with the pair bound
+          // could trade the realized value for one a hair below it, and
+          // the tie test needs the realized value bit for bit.
+          exact = cached->exact;
+          bound = exact ? cached->bound : std::min(bound, cached->bound);
         } else if (probe && entry.annotated != nullptr) {
           const double probed =
               info.plan->DocumentAnswerUpperBound(ctx.item_k, *entry.annotated);
-          ctx.bound_cache->Insert(key, probed);
+          ctx.bound_cache->Insert(key, probed, /*exact=*/false);
           bound = std::min(bound, probed);
         }
       } else if (probe && entry.annotated != nullptr) {
@@ -245,7 +278,7 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
                                     ctx.item_k, *entry.annotated));
       }
       twig_items.push_back(
-          BoundedPoolItem{static_cast<uint32_t>(t), d, bound});
+          BoundedPoolItem{static_cast<uint32_t>(t), d, bound, exact});
     }
     if (!compile_failed) {
       pool->insert(pool->end(), twig_items.begin(), twig_items.end());
@@ -295,11 +328,9 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
         ++out->corpus.items_failed;
         continue;
       }
-      if (pi.bound + kAnswerBoundSlack <
-          race.threshold.load(std::memory_order_acquire)) {
-        // Provably outside this twig's top-k. (No tail cut: a later
-        // pool item may belong to a different twig whose threshold it
-        // still beats.)
+      if (ProvablyOutside(pi, selected[pi.doc]->name, &race)) {
+        // No tail cut: a later pool item may belong to a different twig
+        // whose threshold it still beats.
         race.docs_pruned.fetch_add(1, std::memory_order_relaxed);
         ++out->corpus.items_pruned;
         continue;
@@ -333,12 +364,13 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
         // Realized bound: evaluation is deterministic in this key, so
         // the best collapsed answer (0 when there is none) is an exact
         // bound for any later run under the same key — usually far
-        // tighter than the probe it refines (Insert keeps the min).
+        // tighter than the probe it replaces.
         ctx.bound_cache->Insert(
-            BoundCacheKey{(*ctx.twigs)[pi.twig], entry.doc, entry.epoch,
-                          ctx.item_k, exec_options.use_block_tree,
+            BoundCacheKey{BoundTwig((*ctx.twigs)[pi.twig]), entry.doc,
+                          entry.epoch, ctx.item_k, exec_options.use_block_tree,
                           entry.pair->pair_id},
-            answers.empty() ? 0.0 : answers.front().probability);
+            answers.empty() ? 0.0 : answers.front().probability,
+            /*exact=*/true);
       }
       std::lock_guard<std::mutex> lock(race.mu);
       for (const CorpusAnswer& a : answers) race.tracker.Push(a);
@@ -370,13 +402,13 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
         // Classify the abort. A threshold abort is exact: the (monotone)
         // threshold proves the item's every answer out of the top-k, now
         // and forever. ANY other cancellation — budget expiry, an
-        // injected fault — leaves the item's contribution unknown, so
-        // its bound is charged to the twig's certified residual and the
-        // twig's result becomes a partial. Checking the threshold here
-        // (instead of trusting why the driver cancelled) keeps the
-        // certificate sound even under spurious cancels.
-        if (!(pi.bound + kAnswerBoundSlack <
-              race.threshold.load(std::memory_order_acquire))) {
+        // injected fault — leaves the item's contribution unknown unless
+        // the same test proves it out (a tie included), so its bound is
+        // charged to the twig's certified residual and the twig's result
+        // becomes a partial. Checking here (instead of trusting why the
+        // driver cancelled) keeps the certificate sound even under
+        // spurious cancels.
+        if (!ProvablyOutside(pi, selected[pi.doc]->name, &race)) {
           RaiseThreshold(&race.residual_bound, pi.bound);
           race.inexact.store(true, std::memory_order_release);
         }
@@ -405,8 +437,7 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
       ++out->corpus.items_failed;
       continue;
     }
-    if (pi.bound + kAnswerBoundSlack <
-        race.threshold.load(std::memory_order_acquire)) {
+    if (ProvablyOutside(pi, selected[pi.doc]->name, &race)) {
       race.docs_pruned.fetch_add(1, std::memory_order_relaxed);
       ++out->corpus.items_pruned;
       continue;

@@ -20,6 +20,19 @@
 // and answer bounds are >= 0, so an item is pruned or cancelled only when
 // the k answers currently in hand all provably beat it — a fact that can
 // never be invalidated by answers still in flight (Push only tightens).
+//
+// Ties: the merge's total order (AnswerBefore) breaks equal
+// probabilities by document name, and the pool dispatches equal bounds in
+// name order. An item whose bound is EXACT (its realized best answer
+// from a prior run, see cache/bound_cache.h) and equals the k-th
+// answer's probability is therefore out when its document sorts after
+// the k-th answer's — the Threshold Algorithm's halting rule with a
+// deterministic tie-break key. That is what lets a homogeneous corpus
+// (every document sharing one best-answer mass) halt after ~k documents
+// instead of evaluating all of them. Inexact bounds prune only strictly,
+// with kAnswerBoundSlack to spare; the driver/kernel cancellation
+// threshold stays strict for every item.
+//
 // Which items get pruned/aborted is schedule-dependent; the merged top-k
 // is not. Debug builds re-evaluate every skipped document and certify it
 // (CertifyBoundedTopK).
@@ -112,6 +125,10 @@ struct BoundedPoolItem {
   uint32_t twig;
   uint32_t doc;
   double bound;
+  /// `bound` is the item's realized best answer from a prior evaluation
+  /// under the same BoundCache key (bit-exact, so it may prune on a tie);
+  /// false for pair/probe bounds.
+  bool exact = false;
 };
 
 /// \brief Everything one scheduler needs, shared across its phases. All
@@ -174,13 +191,14 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
 /// The wave loop: sorts `pool` best-bound-first (stable, so the caller's
 /// (twig order, name order) append order breaks bound ties) and
 /// dispatches it in waves of max(executor threads, kMinWaveItems) items,
-/// pruning items whose bound has fallen below their twig's shared
-/// threshold and charging items of failed twigs, until every pool item
-/// is accounted. Safe to run concurrently from several threads over
-/// disjoint slices against the same races; every scheduler's waves run
-/// on the ONE shared BatchQueryExecutor pool (whose dynamic claim loop
-/// includes the calling thread, so concurrent schedulers cannot
-/// deadlock it). On return out->corpus holds this scheduler's complete
+/// pruning items provably outside their twig's top-k (bound below the
+/// shared threshold, or an exact bound tied with the k-th answer from a
+/// later-sorting document) and charging items of failed twigs, until
+/// every pool item is accounted. Safe to run concurrently from several
+/// threads over disjoint slices against the same races; every scheduler's
+/// waves run on the ONE shared BatchQueryExecutor pool (whose dynamic
+/// claim loop includes the calling thread, so concurrent schedulers
+/// cannot deadlock it). On return out->corpus holds this scheduler's complete
 /// evaluated/pruned/aborted/failed split for its pool.
 void RunBoundedWaves(const BoundedRunContext& ctx,
                      std::vector<BoundedPoolItem> pool,

@@ -20,8 +20,9 @@
 //     every document prepared under one pair; and
 //   * a per-(twig, document) refinement from the registry's BoundCache
 //     (cache/bound_cache.h): the realized best answer of a prior
-//     evaluation under the same key, seeded on first contact by a cheap
-//     match-existence probe over the document's annotation
+//     evaluation under the same key (EXACT, used as-is instead of the
+//     min), seeded on first contact by a cheap match-existence probe
+//     over the document's annotation
 //     (QueryPlan::DocumentAnswerUpperBound). This is what lets a
 //     HOMOGENEOUS single-pair corpus prune: under one pair every item
 //     shares one pair bound, but skewed documents get strictly smaller
@@ -40,12 +41,19 @@
 // even a long evaluation the threshold overtakes mid-flight stops
 // within microseconds and returns Status::Cancelled). This is EXACT,
 // not approximate: an item is only skipped when every answer it could
-// produce provably ranks below its twig's current k-th best (strict
-// inequality with kAnswerBoundSlack guarding float noise; realized
-// bounds are exact because evaluation is deterministic in the cache
-// key), so the merged top-k is bit-identical to the exhaustive fan-out
-// — debug builds re-evaluate every skipped item and certify it, and
-// tests/differential_test.cc sweeps bounded vs brute force.
+// produce provably ranks after its twig's current k-th best answer. An
+// inexact (pair or probe) bound must fall strictly below the k-th
+// probability with kAnswerBoundSlack to spare. An exact (realized)
+// bound — exact because evaluation is deterministic in the cache key —
+// may also TIE the k-th probability when its document name sorts after
+// the k-th answer's, since AnswerBefore breaks probability ties by
+// document name; that tie rule is what lets a homogeneous corpus, whose
+// documents all share one best-answer mass, halt after about k
+// documents. The in-flight cancellation threshold stays strict. The
+// merged top-k is bit-identical to the exhaustive fan-out — debug builds
+// re-evaluate every skipped item and certify it, and
+// tests/differential_test.cc and tests/tie_prune_test.cc sweep bounded
+// vs brute force.
 //
 // Merge semantics: each document's PtqResult is first collapsed by match
 // set via PtqResult::CollapseByMatches (answers over different mappings
@@ -156,8 +164,9 @@ struct CorpusQueryResult {
   /// is exact, so a skipped document still "participated" in the answer.
   int documents_evaluated = 0;
   /// Of those, documents never dispatched because their answer upper
-  /// bound fell below the k-th best answer (bound-driven pruning), and
-  /// documents aborted in flight by the shared threshold.
+  /// bound proved them outside the top-k (below the k-th best answer, or
+  /// an exact tie with it from a later-sorting document), and documents
+  /// aborted in flight by the shared threshold.
   int documents_pruned = 0;
   int documents_aborted = 0;
   /// True if any contributing evaluation hit the max_embeddings cap.
@@ -184,7 +193,7 @@ struct CorpusQueryResult {
 struct CorpusRunReport {
   int items_total = 0;      ///< twig x document units considered
   int items_evaluated = 0;  ///< dispatched and evaluated (or cache hits)
-  int items_pruned = 0;     ///< never dispatched (bound below threshold)
+  int items_pruned = 0;     ///< never dispatched (provably outside top-k)
   int items_aborted = 0;    ///< cancelled in flight by the threshold
   /// Of items_aborted, those whose abort happened INSIDE the evaluation
   /// kernel rather than at the driver's cheap pre-evaluation checks.
@@ -269,6 +278,11 @@ class TopKTracker {
   double kth_probability() const {
     return heap_.empty() ? 0.0 : heap_.top().probability;
   }
+
+  /// The current k-th best answer itself (the worst one held) — what the
+  /// scheduler's tie test compares document names against. Requires
+  /// full().
+  const CorpusAnswer& kth() const { return heap_.top(); }
 
  private:
   struct WorseLast {

@@ -46,7 +46,8 @@ Status DocumentStore::Add(CorpusDocument entry) {
   return Status::OK();
 }
 
-Status DocumentStore::Remove(const std::string& name) {
+Status DocumentStore::Remove(const std::string& name,
+                             CorpusDocument* removed) {
   std::lock_guard<std::mutex> lock(mu_);
   CorpusSnapshot next;
   next.reserve(snapshot_->size());
@@ -54,6 +55,7 @@ Status DocumentStore::Remove(const std::string& name) {
   for (const CorpusDocument& existing : *snapshot_) {
     if (existing.name == name) {
       found = true;
+      if (removed != nullptr) *removed = existing;
     } else {
       next.push_back(existing);
     }

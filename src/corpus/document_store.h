@@ -74,8 +74,9 @@ class DocumentStore {
 
   /// Unregisters `name`. NotFound if absent. In-flight queries holding an
   /// older snapshot finish against it; queries snapshotting after this
-  /// returns can never see the document.
-  Status Remove(const std::string& name);
+  /// returns can never see the document. `removed`, when non-null,
+  /// receives the unregistered entry.
+  Status Remove(const std::string& name, CorpusDocument* removed = nullptr);
 
   /// Reconciles the corpus with a re-prepared pair: entries whose pair
   /// relates the same (source, target) schemas are re-bound to the new

@@ -3,6 +3,10 @@
 #include <atomic>
 #include <exception>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace uxm {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -83,6 +87,18 @@ void ThreadPool::Shutdown() {
 }
 
 int ThreadPool::DefaultThreadCount() {
+#ifdef __linux__
+  // The CPUs this process may actually run on: hardware_concurrency
+  // counts the whole machine, so a process confined by taskset/cpusets to
+  // one CPU would otherwise get a pool (and shard drivers) sized for all
+  // of them, time-slicing that one core.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int allowed = CPU_COUNT(&mask);
+    if (allowed > 0) return allowed;
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

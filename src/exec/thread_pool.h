@@ -69,7 +69,9 @@ class ThreadPool {
   /// not zeroed by Shutdown), so it is safe to read concurrently.
   int num_threads() const { return num_threads_; }
 
-  /// std::thread::hardware_concurrency with a floor of 1.
+  /// The number of CPUs in the calling thread's affinity mask
+  /// (sched_getaffinity; a taskset/cpuset confinement of the process),
+  /// falling back to std::thread::hardware_concurrency and then to 1.
   static int DefaultThreadCount();
 
  private:

@@ -53,9 +53,10 @@ Status ShardedDocumentStore::Add(CorpusDocument entry) {
   return Status::OK();
 }
 
-Status ShardedDocumentStore::Remove(const std::string& name) {
+Status ShardedDocumentStore::Remove(const std::string& name,
+                                    CorpusDocument* removed) {
   std::lock_guard<std::mutex> lock(mu_);
-  UXM_RETURN_NOT_OK(shards_[ShardOf(name)]->Remove(name));
+  UXM_RETURN_NOT_OK(shards_[ShardOf(name)]->Remove(name, removed));
   Republish();
   return Status::OK();
 }

@@ -31,7 +31,7 @@
 
 namespace uxm {
 
-/// Default shard count: min(hardware threads, 8), floor 1. Eight is
+/// Default shard count: min(usable CPUs, 8), floor 1. Eight is
 /// where the scatter-gather win flattens for in-process serving — more
 /// shards mean more driver threads contending for the one evaluation
 /// pool without adding bound-phase parallelism.
@@ -82,8 +82,9 @@ class ShardedDocumentStore {
   /// shard); InvalidArgument per DocumentStore::Add.
   Status Add(CorpusDocument entry);
 
-  /// Unregisters `name` from its shard. NotFound if absent.
-  Status Remove(const std::string& name);
+  /// Unregisters `name` from its shard. NotFound if absent. `removed`,
+  /// when non-null, receives the unregistered entry.
+  Status Remove(const std::string& name, CorpusDocument* removed = nullptr);
 
   /// Re-binds every entry of `pair`'s (source, target) key to the new
   /// incarnation across all shards (see DocumentStore::RebindPair).

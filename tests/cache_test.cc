@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/bound_cache.h"
 #include "cache/result_cache.h"
 #include "core/system.h"
 #include "query/ptq.h"
@@ -285,6 +286,152 @@ TEST(ResultCacheTest, ClearInvalidatesEverything) {
   EXPECT_EQ(cache.Lookup(ResultCacheKey{"q1", nullptr, 1, 0, true}), nullptr);
 }
 
+// --------------------------------------------------------- bound cache
+
+TEST(BoundCacheTest, ExactInsertReplacesALowerProbe) {
+  BoundCache cache;
+  const BoundTwig twig("//a/b");
+  const BoundCacheKey key{twig, nullptr, 1, 0, true, 7};
+  cache.Insert(key, 0.5 - 1e-12, /*exact=*/false);  // probe a hair low
+  cache.Insert(key, 0.5, /*exact=*/true);           // the realized value
+  const auto got = cache.Lookup(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->bound, 0.5);
+  EXPECT_TRUE(got->exact);
+}
+
+TEST(BoundCacheTest, ProbeNeverDisplacesAnExactEntry) {
+  BoundCache cache;
+  const BoundTwig twig("//a/b");
+  const BoundCacheKey key{twig, nullptr, 1, 0, true, 7};
+  cache.Insert(key, 0.5, /*exact=*/true);
+  cache.Insert(key, 0.25, /*exact=*/false);  // lower, but only a probe
+  cache.Insert(key, 0.75, /*exact=*/false);
+  const auto got = cache.Lookup(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->bound, 0.5);
+  EXPECT_TRUE(got->exact);
+}
+
+TEST(BoundCacheTest, InexactInsertsKeepTheMin) {
+  BoundCache cache;
+  const BoundTwig twig("//a/b");
+  const BoundCacheKey key{twig, nullptr, 1, 0, true, 7};
+  cache.Insert(key, 0.75, /*exact=*/false);
+  cache.Insert(key, 0.25, /*exact=*/false);
+  cache.Insert(key, 0.5, /*exact=*/false);
+  const auto got = cache.Lookup(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->bound, 0.25);
+  EXPECT_FALSE(got->exact);
+  cache.Insert(key, -1.0, /*exact=*/false);  // clamped to 0
+  EXPECT_EQ(cache.Lookup(key)->bound, 0.0);
+}
+
+TEST(BoundCacheTest, DistinctKeyDimensionsDoNotCollide) {
+  BoundCache cache;
+  const BoundTwig a("//a");
+  const BoundTwig b("//b");
+  int doc = 0;
+  const BoundCacheKey base{a, &doc, 1, 0, true, 7};
+  cache.Insert(base, 0.5, /*exact=*/true);
+  for (const BoundCacheKey& other :
+       {BoundCacheKey{b, &doc, 1, 0, true, 7},
+        BoundCacheKey{a, nullptr, 1, 0, true, 7},
+        BoundCacheKey{a, &doc, 2, 0, true, 7},
+        BoundCacheKey{a, &doc, 1, 3, true, 7},
+        BoundCacheKey{a, &doc, 1, 0, false, 7},
+        BoundCacheKey{a, &doc, 1, 0, true, 8}}) {
+    EXPECT_FALSE(cache.Lookup(other).has_value());
+  }
+  // The key borrows its twig text: an equal text elsewhere finds it.
+  const std::string copy = "//a";
+  EXPECT_TRUE(
+      cache.Lookup(BoundCacheKey{BoundTwig(copy), &doc, 1, 0, true, 7})
+          .has_value());
+}
+
+TEST(BoundCacheTest, EraseRegistrationDropsExactlyThatDocAndEpoch) {
+  BoundCache cache;
+  const BoundTwig t1("//a");
+  const BoundTwig t2("//b");
+  int doc_a = 0;
+  int doc_b = 0;
+  for (const BoundTwig& t : {t1, t2}) {
+    cache.Insert(BoundCacheKey{t, &doc_a, 1, 0, true, 7}, 0.5, true);
+    cache.Insert(BoundCacheKey{t, &doc_a, 2, 0, true, 7}, 0.5, true);
+    cache.Insert(BoundCacheKey{t, &doc_b, 1, 0, true, 7}, 0.5, true);
+  }
+  EXPECT_EQ(cache.Stats().entries, 6u);
+  cache.EraseRegistration(&doc_a, 1);
+  EXPECT_EQ(cache.Stats().entries, 4u);
+  for (const BoundTwig& t : {t1, t2}) {
+    EXPECT_FALSE(cache.Lookup(BoundCacheKey{t, &doc_a, 1, 0, true, 7}));
+    EXPECT_TRUE(cache.Lookup(BoundCacheKey{t, &doc_a, 2, 0, true, 7}));
+    EXPECT_TRUE(cache.Lookup(BoundCacheKey{t, &doc_b, 1, 0, true, 7}));
+  }
+  cache.EraseRegistration(&doc_a, 1);  // already gone: no-op
+  EXPECT_EQ(cache.Stats().entries, 4u);
+}
+
+// One registration holding many twigs (an ad hoc stream on a small
+// corpus) grows its index several times; every bound stays findable.
+TEST(BoundCacheTest, ManyTwigsInOneRegistrationStayFindable) {
+  BoundCache cache;
+  int doc = 0;
+  std::vector<std::string> twigs;
+  for (int i = 0; i < 1000; ++i) twigs.push_back("//t" + std::to_string(i));
+  for (size_t i = 0; i < twigs.size(); ++i) {
+    cache.Insert(BoundCacheKey{BoundTwig(twigs[i]), &doc, 1, 0, true, 7},
+                 static_cast<double>(i) / 1000.0, (i % 2) == 0);
+  }
+  EXPECT_EQ(cache.Stats().entries, twigs.size());
+  for (size_t i = 0; i < twigs.size(); ++i) {
+    const auto got =
+        cache.Lookup(BoundCacheKey{BoundTwig(twigs[i]), &doc, 1, 0, true, 7});
+    ASSERT_TRUE(got.has_value()) << twigs[i];
+    EXPECT_EQ(got->bound, static_cast<double>(i) / 1000.0);
+    EXPECT_EQ(got->exact, (i % 2) == 0);
+  }
+  EXPECT_FALSE(
+      cache.Lookup(BoundCacheKey{BoundTwig("//t1000"), &doc, 1, 0, true, 7})
+          .has_value());
+  cache.EraseRegistration(&doc, 1);
+  EXPECT_EQ(cache.Stats().entries, 0u);
+}
+
+TEST(BoundCacheTest, EntryCapFlushesGenerationally) {
+  BoundCache cache(/*max_entries=*/4);
+  std::vector<std::string> twigs;
+  for (int i = 0; i < 5; ++i) twigs.push_back("//t" + std::to_string(i));
+  for (const std::string& t : twigs) {
+    cache.Insert(BoundCacheKey{BoundTwig(t), nullptr, 1, 0, true, 7}, 0.5,
+                 false);
+  }
+  const BoundCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.flushes, 1u);
+  EXPECT_EQ(stats.entries, 1u);  // the fifth key, after the flush
+  EXPECT_EQ(stats.insertions, 5u);
+}
+
+// Erasing registrations keeps the entry count low, but every distinct
+// twig text is stored until a flush; the cap counts those too, so a
+// stream of fresh twigs over churning documents stays bounded.
+TEST(BoundCacheTest, EntryCapAlsoBoundsStoredTwigTexts) {
+  BoundCache cache(/*max_entries=*/4);
+  int doc = 0;
+  for (int i = 0; i < 5; ++i) {
+    const std::string twig = "//t" + std::to_string(i);
+    const uint64_t epoch = static_cast<uint64_t>(i) + 1;
+    cache.Insert(BoundCacheKey{BoundTwig(twig), &doc, epoch, 0, true, 7}, 0.5,
+                 true);
+    cache.EraseRegistration(&doc, epoch);
+  }
+  const BoundCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.flushes, 1u);  // at the fifth text
+  EXPECT_EQ(stats.entries, 0u);
+}
+
 // ------------------------------------------------------------- facade
 
 class SystemCacheTest : public ::testing::Test {
@@ -331,6 +478,32 @@ class SystemCacheTest : public ::testing::Test {
   std::unique_ptr<Document> doc_;
   std::unique_ptr<Document> doc2_;
 };
+
+// Re-registering a document (RemoveDocument + AddDocument under one name)
+// mints a fresh epoch each time; the removed registration's bounds are
+// dropped at RemoveDocument, so the cache never holds more entries than
+// there are live (twig, document) keys.
+TEST_F(SystemCacheTest, ReRegistrationDropsTheRemovedDocumentsBounds) {
+  auto sys = MakeSystem(/*cache_enabled=*/true);
+  ASSERT_TRUE(sys->AddDocument("a", doc_.get()).ok());
+  ASSERT_TRUE(sys->AddDocument("b", doc2_.get()).ok());
+  const std::vector<std::string> twigs = {TableIIIQueries()[0],
+                                          TableIIIQueries()[1]};
+  CorpusQueryOptions bounded;
+  bounded.top_k = 3;
+  BatchRunOptions run;
+  run.num_threads = 1;
+  const size_t live_keys = twigs.size() * 2;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ASSERT_TRUE(sys->RunCorpusBatch(twigs, bounded, run).ok());
+    ASSERT_LE(sys->bound_cache_stats().entries, live_keys) << cycle;
+    ASSERT_TRUE(sys->RemoveDocument("a").ok());
+    ASSERT_LE(sys->bound_cache_stats().entries, live_keys - twigs.size())
+        << cycle;
+    ASSERT_TRUE(sys->AddDocument("a", doc_.get()).ok());
+  }
+  EXPECT_EQ(sys->bound_cache_stats().flushes, 0u);
+}
 
 TEST_F(SystemCacheTest, RepeatedQueryIsServedFromCache) {
   auto sys = MakeSystem(true);

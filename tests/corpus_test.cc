@@ -930,8 +930,11 @@ TEST_F(SinglePairCorpusTest, DocumentBoundsPruneAHomogeneousCorpus) {
   ExpectSameAnswers(e->answers[0]->answers, result.answers);
 
   // A second bounded run consults the cached bounds (all 32 keys hit) and
-  // schedules identically: the realized hot bounds tie the threshold, so
-  // nothing more can be pruned, and the answers stay bit-identical.
+  // schedules identically. The realized hot bounds are exact and tie the
+  // threshold, so the tie rule could prune a hot document sorting after
+  // the k-th answer's — but all 8 hot items share the first wave, which
+  // is dispatched before the threshold exists, so the counts are
+  // unchanged and the answers stay bit-identical.
   auto again =
       sys->RunCorpusBatch({scenario_->probe_twig}, bounded, OneThread());
   ASSERT_TRUE(again.ok());

@@ -12,6 +12,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "common/arena.h"
 #include "core/system.h"
 #include "exec/thread_pool.h"
@@ -50,6 +54,28 @@ TEST(ThreadPoolTest, ClampsThreadCountToOne) {
   EXPECT_EQ(pool.num_threads(), 1);
   EXPECT_EQ(pool.Submit([]() { return 1; }).get(), 1);
 }
+
+#ifdef __linux__
+// The default width follows the CPUs this process may run on, not the
+// machine's: under `taskset -c 0` it must be 1.
+TEST(ThreadPoolTest, DefaultThreadCountFollowsTheAffinityMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), CPU_COUNT(&mask));
+
+  // Narrow this thread to its first allowed CPU, then restore the mask.
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int narrowed = ThreadPool::DefaultThreadCount();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(narrowed, 1);
+}
+#endif
 
 TEST(ThreadPoolTest, TaskExceptionReachesFutureAndPoolSurvives) {
   ThreadPool pool(2);
