@@ -7,7 +7,6 @@
 
 #include "exec/thread_pool.h"
 #include "plan/driver.h"
-#include "shard/sharded_corpus_executor.h"
 #include "snapshot/snapshot_loader.h"
 #include "snapshot/snapshot_writer.h"
 
@@ -319,11 +318,12 @@ Result<CorpusBatchResponse> UncertainMatchingSystem::RunCorpusBatch(
   cache_ctx.results =
       options_.cache.enable_result_cache ? result_cache_.get() : nullptr;
   cache_ctx.epoch = session.epoch;  // items carry per-document epochs
-  ShardedCorpusExecutor corpus_exec(session.executor.get(),
-                                    options_.cache.enable_bound_cache
-                                        ? registry_.bound_cache().get()
-                                        : nullptr);
-  return corpus_exec.Run(*session.corpus, twigs, options, &cache_ctx);
+  CorpusExecutor corpus_exec(session.executor.get(),
+                             options_.cache.enable_bound_cache
+                                 ? registry_.bound_cache().get()
+                                 : nullptr,
+                             session.corpus->shards.size());
+  return corpus_exec.Run(*session.corpus->all, twigs, options, &cache_ctx);
 }
 
 UncertainMatchingSystem::Session UncertainMatchingSystem::Snapshot(

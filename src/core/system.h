@@ -117,8 +117,9 @@ struct SystemOptions {
   /// (src/shard/): documents partition across this many per-shard
   /// stores by stable name hash, and bounded corpus batches run one TA
   /// scheduler per shard against shared per-twig thresholds. <= 0
-  /// selects min(usable CPUs, 8). 1 disables sharding (the
-  /// single-scheduler path). Answers are bit-identical for every value.
+  /// selects min(usable CPUs, 8). 1 runs one scheduler over the whole
+  /// corpus on the calling thread. Answers are bit-identical for every
+  /// value.
   int corpus_shards = 0;
 };
 

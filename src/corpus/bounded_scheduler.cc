@@ -451,16 +451,14 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
   out->corpus.items_aborted_in_kernel = out->report.items_aborted_in_kernel;
 }
 
-void FinalizeBoundedAnswers(
-    const BoundedRunContext& ctx, int merge_k,
-    const std::vector<std::vector<std::vector<CorpusAnswer>>>* gathered,
-    std::vector<Result<CorpusQueryResult>>* answers) {
+void FinalizeBoundedAnswers(const BoundedRunContext& ctx, int merge_k,
+                            std::vector<Result<CorpusQueryResult>>* answers) {
   const size_t num_twigs = ctx.twigs->size();
   answers->reserve(answers->size() + num_twigs);
   for (size_t t = 0; t < num_twigs; ++t) {
     TwigRace& race = *(*ctx.races)[t];
-    // Compile failures take precedence: the single scheduler never
-    // dispatches a twig whose bound phase failed, so only they are
+    // Compile failures take precedence: no scheduler ever dispatches a
+    // twig whose bound phase failed, so only they are
     // guaranteed observable under every schedule.
     if (race.compile_doc < race.num_docs) {
       answers->push_back(race.compile_status);
@@ -492,13 +490,8 @@ void FinalizeBoundedAnswers(
         race.truncated.load(std::memory_order_relaxed);
     // Skipped documents left empty lists in `collapsed`; MergeTopK
     // ignores empty lists, and their absence is exactly what the bounds
-    // proved sound. The gathered per-shard lists merge to the identical
-    // answer set: AnswerBefore is a total order over distinct documents'
-    // answers, and any answer in the global top-k is by definition in
-    // the top-k of the one shard holding its document.
-    merged.answers = gathered != nullptr
-                         ? MergeTopK((*gathered)[t], merge_k)
-                         : MergeTopK(race.collapsed, merge_k);
+    // proved sound.
+    merged.answers = MergeTopK(race.collapsed, merge_k);
 #ifndef NDEBUG
     if (merged.exact) {
       CertifyBoundedTopK(*ctx.selected, (*ctx.twigs)[t], merge_k,

@@ -1,6 +1,6 @@
-// The bound-driven (Threshold-Algorithm) corpus scheduling engine, shared
-// by the single-scheduler path (corpus/corpus_executor.cc) and the
-// sharded scatter-gather coordinator (shard/sharded_corpus_executor.cc).
+// The bound-driven (Threshold-Algorithm) corpus scheduling engine behind
+// CorpusExecutor's bounded path (corpus/corpus_executor.cc), which runs
+// one scheduler per corpus shard.
 //
 // One TwigRace per twig holds the twig's global top-k tracker and its
 // atomic pruning threshold. Any number of schedulers may race one set of
@@ -37,15 +37,15 @@
 // is not. Debug builds re-evaluate every skipped document and certify it
 // (CertifyBoundedTopK).
 //
-// Failure discipline (matches the single-scheduler contract):
+// Failure discipline (the same for every shard count):
 //   * compile failures are deterministic per (twig, pair), so every
 //     scheduler whose slice contains a document of a failing pair
 //     observes the same failure; the twig's answer slot reports the
 //     status attributed to the smallest failing document index —
 //     independent of shard count.
 //   * evaluation failures record the smallest OBSERVED failing index;
-//     compile failures take precedence (the single scheduler never
-//     dispatches a twig whose bound phase failed).
+//     compile failures take precedence (no scheduler ever dispatches a
+//     twig whose bound phase failed).
 //   * a failed twig stops dispatching everywhere: leftover items are
 //     charged to items_failed, keeping the per-scheduler report
 //     invariant items_total == evaluated + pruned + aborted + failed.
@@ -182,7 +182,7 @@ void AccumulateBatchReport(const BatchRunReport& wave, BatchRunReport* total);
 /// whose compilation succeeded. A compile failure marks the twig's race
 /// failed, records the slice's smallest failing index, charges the
 /// twig's whole slice to out->corpus.items_failed, and contributes no
-/// pool items (the single-scheduler contract).
+/// pool items.
 void BuildBoundedPool(const BoundedRunContext& ctx,
                       const std::vector<uint32_t>& docs,
                       std::vector<BoundedPoolItem>* pool,
@@ -206,17 +206,12 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
 
 /// Builds the per-twig answer slots from the (now quiescent) races, in
 /// input-twig order: failed twigs report their status (compile beats
-/// evaluation, smallest index each), the rest k-way-merge to the global
-/// top-k. `gathered`, when non-null, holds per-twig per-shard answer
-/// lists (each sorted by AnswerBefore) to merge INSTEAD of the races'
-/// per-document lists — the sharded scatter-gather path; the result is
-/// identical because a shard's top-k retains every answer that can reach
-/// the global top-k. Debug builds certify each merged twig against an
-/// exhaustive re-evaluation of every skipped document.
-void FinalizeBoundedAnswers(
-    const BoundedRunContext& ctx, int merge_k,
-    const std::vector<std::vector<std::vector<CorpusAnswer>>>* gathered,
-    std::vector<Result<CorpusQueryResult>>* answers);
+/// evaluation, smallest index each), the rest k-way-merge their
+/// per-document lists to the global top-k. Debug builds certify each
+/// merged twig against an exhaustive re-evaluation of every skipped
+/// document.
+void FinalizeBoundedAnswers(const BoundedRunContext& ctx, int merge_k,
+                            std::vector<Result<CorpusQueryResult>>* answers);
 
 }  // namespace uxm
 

@@ -2,28 +2,17 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <utility>
 
 #include "common/timer.h"
 #include "corpus/bounded_scheduler.h"
 #include "corpus/run_budget.h"
+#include "exec/thread_pool.h"
 #include "plan/driver.h"
+#include "shard/sharded_store.h"
 
 namespace uxm {
-
-void StampResponseExact(CorpusBatchResponse* response) {
-  response->exact = true;
-  for (const Result<CorpusQueryResult>& slot : response->answers) {
-    const bool truncated =
-        slot.ok() ? !slot->exact : slot.status().IsDeadlineExceeded();
-    if (truncated) {
-      response->exact = false;
-      return;
-    }
-  }
-}
 
 bool AnswerBefore(const CorpusAnswer& a, const CorpusAnswer& b) {
   if (a.probability != b.probability) return a.probability > b.probability;
@@ -79,6 +68,11 @@ std::vector<CorpusAnswer> MergeTopK(
   return merged;
 }
 
+namespace {
+
+/// Resolves a CorpusQueryOptions::documents filter against a name-sorted
+/// corpus snapshot: empty selects the whole corpus, unknown names fail
+/// with NotFound, duplicates collapse, and the result is name-sorted.
 Result<std::vector<const CorpusDocument*>> ResolveCorpusSelection(
     const CorpusSnapshot& corpus, const std::vector<std::string>& documents) {
   // The snapshot is name-sorted, so the fan-out (and the merge tie
@@ -108,6 +102,39 @@ Result<std::vector<const CorpusDocument*>> ResolveCorpusSelection(
             });
   return selected;
 }
+
+/// Recomputes response->exact from its answer slots (see
+/// CorpusBatchResponse::exact).
+void StampResponseExact(CorpusBatchResponse* response) {
+  response->exact = true;
+  for (const Result<CorpusQueryResult>& slot : response->answers) {
+    const bool truncated =
+        slot.ok() ? !slot->exact : slot.status().IsDeadlineExceeded();
+    if (truncated) {
+      response->exact = false;
+      return;
+    }
+  }
+}
+
+/// Field-by-field sum of one shard's disposition counts into the run's
+/// report (every field of CorpusRunReport is additive).
+void AccumulateCorpusReport(const CorpusRunReport& shard,
+                            CorpusRunReport* total) {
+  total->items_total += shard.items_total;
+  total->items_evaluated += shard.items_evaluated;
+  total->items_pruned += shard.items_pruned;
+  total->items_aborted += shard.items_aborted;
+  total->items_aborted_in_kernel += shard.items_aborted_in_kernel;
+  total->items_failed += shard.items_failed;
+  total->dispatches += shard.dispatches;
+  total->items_deadline_skipped += shard.items_deadline_skipped;
+  // Summed too: the aggregate is total scheduler-nanoseconds across
+  // shards (see CorpusRunReport::elapsed_ns).
+  total->elapsed_ns += shard.elapsed_ns;
+}
+
+}  // namespace
 
 Result<CorpusBatchResponse> CorpusExecutor::Run(
     const CorpusSnapshot& corpus, const std::vector<std::string>& twigs,
@@ -187,10 +214,22 @@ Result<CorpusBatchResponse> CorpusExecutor::RunBounded(
     const BatchCacheContext* cache) const {
   const size_t num_docs = selected.size();
   const size_t num_twigs = twigs.size();
+  // Scattering fewer than two documents cannot race anything.
+  const size_t num_shards =
+      num_docs < 2 ? 1 : std::max<size_t>(num_shards_, 1);
 
-  // Per-twig race state: each twig keeps its OWN top-k and threshold
-  // even though all twigs share one dispatch pool — an item only ever
-  // prunes/cancels against its own twig's k-th best answer.
+  // Scatter: slice the (name-sorted) selection by the stable name hash.
+  // Slices inherit the global order, so each shard's pool append order —
+  // and with it every bound tie-break — is deterministic.
+  std::vector<std::vector<uint32_t>> slices(num_shards);
+  for (size_t d = 0; d < num_docs; ++d) {
+    slices[ShardForDocument(selected[d]->name, num_shards)].push_back(
+        static_cast<uint32_t>(d));
+  }
+
+  // One race per twig, shared by every shard: each twig keeps its OWN
+  // top-k and threshold even though all twigs share one dispatch pool —
+  // an item only ever prunes/cancels against its own twig's k-th best.
   std::vector<std::unique_ptr<TwigRace>> races;
   races.reserve(num_twigs);
   for (size_t t = 0; t < num_twigs; ++t) {
@@ -209,7 +248,8 @@ Result<CorpusBatchResponse> CorpusExecutor::RunBounded(
   ctx.item_k = executor_->options().ptq.top_k;
   ctx.races = &races;
   // A budget exists only when the caller set one: a null ctx.budget IS
-  // the unbudgeted exact path, byte for byte.
+  // the unbudgeted exact path, byte for byte. One budget serves every
+  // shard, so the merged certificate is global.
   std::optional<RunBudget> budget;
   if (RunBudget::Limited(options.deadline, options.max_evaluations)) {
     budget.emplace(options.deadline, options.max_evaluations);
@@ -217,25 +257,45 @@ Result<CorpusBatchResponse> CorpusExecutor::RunBounded(
   }
   ctx.on_deadline = options.on_deadline;
 
-  // ONE scheduler over the whole selection: bound phase, then the wave
-  // loop (the sharded path runs the same two calls once per shard, over
-  // disjoint slices, against shared races).
-  Timer timer;
-  std::vector<uint32_t> docs(num_docs);
-  std::iota(docs.begin(), docs.end(), 0u);
-  std::vector<BoundedPoolItem> pool;
-  pool.reserve(num_twigs * num_docs);
-  BoundedScheduleResult sched;
-  BuildBoundedPool(ctx, docs, &pool, &sched);
-  RunBoundedWaves(ctx, std::move(pool), &sched);
-  sched.corpus.elapsed_ns = timer.ElapsedNanos();
+  // One scheduler per non-empty slice: bound phase, then the wave loop.
+  // Each writes only its own result slot, so no locks.
+  std::vector<BoundedScheduleResult> results(num_shards);
+  auto run_slice = [&](size_t s) {
+    Timer timer;
+    const std::vector<uint32_t>& slice = slices[s];
+    BoundedScheduleResult& result = results[s];
+    result.corpus.items_total = static_cast<int>(num_twigs * slice.size());
+    std::vector<BoundedPoolItem> pool;
+    pool.reserve(num_twigs * slice.size());
+    BuildBoundedPool(ctx, slice, &pool, &result);
+    RunBoundedWaves(ctx, std::move(pool), &result);
+    result.corpus.elapsed_ns = timer.ElapsedNanos();
+  };
+  {
+    // The calling thread runs the first non-empty slice; dedicated
+    // drivers run the rest, so S=1 spawns no thread.
+    ScopedThreads drivers;
+    size_t own = num_shards;
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (slices[s].empty()) continue;
+      if (own == num_shards) {
+        own = s;
+      } else {
+        drivers.Spawn([&run_slice, s] { run_slice(s); });
+      }
+    }
+    if (own < num_shards) run_slice(own);
+  }
 
   CorpusBatchResponse response;
-  response.report = std::move(sched.report);
-  response.corpus = sched.corpus;
-  response.corpus.items_total = static_cast<int>(num_twigs * num_docs);
-  FinalizeBoundedAnswers(ctx, options.top_k, /*gathered=*/nullptr,
-                         &response.answers);
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (!slices[s].empty()) {
+      AccumulateBatchReport(results[s].report, &response.report);
+    }
+    AccumulateCorpusReport(results[s].corpus, &response.corpus);
+    if (num_shards > 1) response.shard_reports.push_back(results[s].corpus);
+  }
+  FinalizeBoundedAnswers(ctx, options.top_k, &response.answers);
   StampResponseExact(&response);
   return response;
 }

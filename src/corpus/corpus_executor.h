@@ -55,6 +55,44 @@
 // tests/differential_test.cc and tests/tie_prune_test.cc sweep bounded
 // vs brute force.
 //
+// Sharded scheduling (scatter / global threshold / merge): the executor
+// is built with the corpus's shard count S and runs one scheduler per
+// shard. S = 1 — and any selection of fewer than two documents — is one
+// scheduler over the whole selection on the calling thread, with no
+// thread spawned.
+//
+//   scatter — the name-sorted selection is sliced by the stable name
+//     hash the sharded store routes with (ShardForDocument), ONE race
+//     (tracker + threshold) is allocated per twig, and one scheduler
+//     runs per non-empty slice: the calling thread takes the first, a
+//     dedicated driver thread (ScopedThreads, never a pool task — see
+//     exec/thread_pool.h) each of the others. Every scheduler runs the
+//     full bound phase + wave loop over its slice, so the per-document
+//     bound probes, the dominant fixed cost on a corpus the thresholds
+//     prune well, parallelize across shards. All waves dispatch into the
+//     ONE shared BatchQueryExecutor pool.
+//
+//   global threshold — the races are shared: an answer found by any
+//     shard raises its twig's k-th-best threshold for every shard, so a
+//     shard whose best remaining bound has fallen below it prunes its
+//     whole remainder without dispatching it, and in-flight items of
+//     other shards abort at the driver checks or inside the kernel.
+//
+//   merge — every scheduler writes only its own documents' slots of the
+//     shared races, so once all have joined the races hold what one
+//     scheduler over the whole selection would have produced, and the
+//     per-twig k-way merge over them is the single-scheduler merge.
+//
+// Exactness holds for every S: the threshold is a monotone max that
+// starts below every bound, so pruning only ever drops items that k
+// answers already in hand provably beat, and the merge is
+// schedule-independent by AnswerBefore's total order. The
+// tests/sharded_differential_test.cc sweep pins bit-identity across S.
+// Reports: each shard's scheduler report is surfaced as
+// CorpusBatchResponse::shard_reports[s] and `corpus` is their
+// field-by-field sum, so items_total == evaluated + pruned + aborted +
+// failed holds per shard AND in aggregate.
+//
 // Merge semantics: each document's PtqResult is first collapsed by match
 // set via PtqResult::CollapseByMatches (answers over different mappings
 // that bind the same document nodes aggregate their probabilities),
@@ -69,6 +107,7 @@
 #define UXM_CORPUS_CORPUS_EXECUTOR_H_
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <string>
@@ -209,7 +248,7 @@ struct CorpusRunReport {
   /// threshold aborts.
   int items_deadline_skipped = 0;
   /// Wall-clock nanoseconds this scheduler spent (bound phase + dispatch
-  /// waves). On the sharded path each shard_reports entry carries its own
+  /// waves). A scattered run's shard_reports entries carry their own
   /// scheduler's time and the aggregate is their SUM — total scheduler
   /// nanoseconds, not the batch's wall-clock latency.
   int64_t elapsed_ns = 0;
@@ -222,22 +261,18 @@ struct CorpusBatchResponse {
   std::vector<Result<CorpusQueryResult>> answers;
   BatchRunReport report;
   CorpusRunReport corpus;
-  /// Per-shard scheduler reports when the batch ran through the sharded
-  /// scatter-gather path (shard/sharded_corpus_executor.h), in shard
-  /// index order — each shard's own evaluated/pruned/aborted/failed
-  /// split, summing field-by-field to `corpus`. Empty on the
-  /// single-scheduler path.
+  /// Per-shard scheduler reports, in shard index order, when the bounded
+  /// scheduler scattered the batch over S > 1 shards — each shard's own
+  /// evaluated/pruned/aborted/failed split (all zero for a shard the
+  /// selection left empty), summing field-by-field to `corpus`. Empty
+  /// when one scheduler ran the whole selection: S = 1, a selection of
+  /// fewer than two documents, or the exhaustive path.
   std::vector<CorpusRunReport> shard_reports;
   /// False iff any answer slot was budget-truncated — an OK slot with
   /// `exact == false`, or a kDeadlineExceeded failure under
   /// OnDeadline::kFail. A quick "was this batch the exact answer?" bit.
   bool exact = true;
 };
-
-/// Recomputes response->exact from its answer slots (see
-/// CorpusBatchResponse::exact). Shared by the single-scheduler and
-/// sharded paths.
-void StampResponseExact(CorpusBatchResponse* response);
 
 /// Global answer order: probability descending, then document name, then
 /// match list (both ascending) so equal-probability answers have one
@@ -253,9 +288,9 @@ bool AnswerBefore(const CorpusAnswer& a, const CorpusAnswer& b);
 /// k <= 0 means "no budget": the tracker holds nothing, full() is never
 /// true and kth_probability() is 0.0, so a caller that prunes only
 /// against a full tracker (the scheduler's contract) prunes nothing.
-/// This used to be undefined behavior guarded solely by a check in
-/// CorpusExecutor::Run; the tracker now defends itself so new call
-/// sites (cross-twig pool, sharded serving) cannot reintroduce it.
+/// The tracker defends itself rather than relying on a check in
+/// CorpusExecutor::Run, so no call site can reintroduce the undefined
+/// behavior a k <= 0 heap would have.
 class TopKTracker {
  public:
   explicit TopKTracker(int k) : k_(k) {}
@@ -308,14 +343,6 @@ std::vector<CorpusAnswer> CollapseForCorpus(const std::string& name,
 std::vector<CorpusAnswer> MergeTopK(
     const std::vector<std::vector<CorpusAnswer>>& per_document, int k);
 
-/// Resolves a CorpusQueryOptions::documents filter against a name-sorted
-/// corpus snapshot: empty selects the whole corpus, unknown names fail
-/// with NotFound, duplicates collapse, and the result is name-sorted.
-/// Shared by the single-scheduler and sharded paths so both reject the
-/// same requests and fan out in the same canonical order.
-Result<std::vector<const CorpusDocument*>> ResolveCorpusSelection(
-    const CorpusSnapshot& corpus, const std::vector<std::string>& documents);
-
 /// \brief Fans twigs across a corpus on a BatchQueryExecutor.
 ///
 /// The executor is borrowed, not owned: the facade hands in the same
@@ -327,10 +354,16 @@ class CorpusExecutor {
   /// SchemaPairRegistry::bound_cache) supplies and receives the
   /// per-(twig, document) bounds of the bounded scheduler; null disables
   /// document-sensitive bound caching (probe bounds are then computed
-  /// per run and realized bounds are not remembered).
+  /// per run and realized bounds are not remembered). `num_shards` is
+  /// the number of bounded schedulers a run scatters over (see file
+  /// comment; 0 counts as 1) — the facade passes its ShardedDocumentStore
+  /// layout, so each slice is exactly one shard's documents.
   explicit CorpusExecutor(const BatchQueryExecutor* executor,
-                          BoundCache* bound_cache = nullptr)
-      : executor_(executor), bound_cache_(bound_cache) {}
+                          BoundCache* bound_cache = nullptr,
+                          size_t num_shards = 1)
+      : executor_(executor),
+        bound_cache_(bound_cache),
+        num_shards_(num_shards) {}
 
   /// Evaluates every twig against the corpus (or the options.documents
   /// subset) — through the bound-driven scheduler when options.bounded
@@ -357,11 +390,12 @@ class CorpusExecutor {
       const std::vector<std::string>& twigs,
       const CorpusQueryOptions& options, const BatchCacheContext* cache) const;
 
-  /// The Threshold-Algorithm scheduler (see file comment): per-twig
-  /// bound phase (pair bound min'd with the cached/probed document
-  /// bound) -> ONE cross-twig pool sorted best-bound-first -> dispatch
-  /// waves with per-twig trackers/thresholds -> prune/abort/fail
-  /// accounting -> per-twig merge + debug certificate.
+  /// The Threshold-Algorithm scheduler (see file comment), one per
+  /// non-empty shard slice: per-twig bound phase (pair bound min'd with
+  /// the cached/probed document bound) -> ONE cross-twig pool sorted
+  /// best-bound-first -> dispatch waves against the shared per-twig
+  /// trackers/thresholds -> prune/abort/fail accounting; then per-twig
+  /// merge + debug certificate over every slice.
   Result<CorpusBatchResponse> RunBounded(
       const std::vector<const CorpusDocument*>& selected,
       const std::vector<std::string>& twigs,
@@ -369,6 +403,7 @@ class CorpusExecutor {
 
   const BatchQueryExecutor* executor_;
   BoundCache* bound_cache_;
+  size_t num_shards_;
 };
 
 }  // namespace uxm

@@ -5,11 +5,11 @@
 // through every layer that does work on the run's behalf: the bounded
 // scheduler's dispatch loop polls it between waves, ExecutionDriver polls
 // it between phases (and charges one evaluation credit before entering a
-// kernel), every shard scheduler of a ShardedCorpusExecutor run observes
-// the same object (so the merged certificate is global, not per-shard),
-// and the flat kernels poll the sticky expiry flag — plus the deadline
-// clock itself — at their existing 64-tick cancellation sites, so even a
-// single stuck evaluation aborts within one poll interval.
+// kernel), every shard scheduler of a scattered CorpusExecutor run
+// observes the same object (so the merged certificate is global, not
+// per-shard), and the flat kernels poll the sticky expiry flag — plus the
+// deadline clock itself — at their existing 64-tick cancellation sites,
+// so even a single stuck evaluation aborts within one poll interval.
 //
 // Expiry is STICKY: whichever participant first observes the deadline
 // passing (or the evaluation countdown reaching zero) sets the flag, and

@@ -88,8 +88,8 @@ class ThreadPool {
 /// \brief A handful of dedicated threads joined on scope exit.
 ///
 /// For short-lived coordinator/driver threads that themselves DISPATCH
-/// into a ThreadPool and block on the result — the sharded corpus
-/// coordinator's per-shard schedulers (shard/sharded_corpus_executor.h)
+/// into a ThreadPool and block on the result — CorpusExecutor's
+/// per-shard schedulers beyond the first (corpus/corpus_executor.h)
 /// are the motivating case. Such drivers must NOT run as pool tasks: a
 /// driver occupying a pool worker while its nested ParallelFor waits for
 /// slot tasks queued behind OTHER blocked drivers is a deadlock cycle.

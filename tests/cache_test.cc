@@ -436,7 +436,9 @@ TEST(BoundCacheTest, EntryCapAlsoBoundsStoredTwigTexts) {
 
 class SystemCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  // The dataset (D7's matcher run included) and its documents are built
+  // once per suite; every test builds its own systems over them.
+  static void SetUpTestSuite() {
     auto d = LoadDataset("D7");
     ASSERT_TRUE(d.ok());
     dataset_ = std::make_unique<Dataset>(std::move(d).ValueOrDie());
@@ -445,6 +447,14 @@ class SystemCacheTest : public ::testing::Test {
     doc2_ = std::make_unique<Document>(GenerateDocument(
         *dataset_->source, DocGenOptions{.seed = 99, .target_nodes = 300}));
   }
+
+  static void TearDownTestSuite() {
+    doc2_.reset();
+    doc_.reset();
+    dataset_.reset();
+  }
+
+  void SetUp() override { ASSERT_NE(doc2_, nullptr); }
 
   SystemOptions Options(bool cache_enabled) const {
     SystemOptions opts;
@@ -474,10 +484,14 @@ class SystemCacheTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<Dataset> dataset_;
-  std::unique_ptr<Document> doc_;
-  std::unique_ptr<Document> doc2_;
+  static std::unique_ptr<Dataset> dataset_;
+  static std::unique_ptr<Document> doc_;
+  static std::unique_ptr<Document> doc2_;
 };
+
+std::unique_ptr<Dataset> SystemCacheTest::dataset_;
+std::unique_ptr<Document> SystemCacheTest::doc_;
+std::unique_ptr<Document> SystemCacheTest::doc2_;
 
 // Re-registering a document (RemoveDocument + AddDocument under one name)
 // mints a fresh epoch each time; the removed registration's bounds are

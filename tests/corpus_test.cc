@@ -163,7 +163,9 @@ TEST(MergeTopKTest, MergesAcrossDocumentsWithDeterministicTies) {
 
 class CorpusSystemTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  // The scenario (D7's matcher run included) is built once per suite;
+  // systems, the oracle and its memo stay per test.
+  static void SetUpTestSuite() {
     CorpusGenOptions gen;
     gen.num_documents = 4;
     gen.min_target_nodes = 150;
@@ -174,6 +176,10 @@ class CorpusSystemTest : public ::testing::Test {
     scenario_ =
         std::make_unique<CorpusScenario>(std::move(scenario).ValueOrDie());
   }
+
+  static void TearDownTestSuite() { scenario_.reset(); }
+
+  void SetUp() override { ASSERT_NE(scenario_, nullptr); }
 
   static SystemOptions Options() {
     SystemOptions opts;
@@ -230,11 +236,13 @@ class CorpusSystemTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<CorpusScenario> scenario_;
+  static std::unique_ptr<CorpusScenario> scenario_;
   std::unique_ptr<UncertainMatchingSystem> oracle_;
   std::map<std::string, std::vector<std::vector<CorpusAnswer>>>
       brute_collapsed_;
 };
+
+std::unique_ptr<CorpusScenario> CorpusSystemTest::scenario_;
 
 TEST_F(CorpusSystemTest, RequiresPrepare) {
   UncertainMatchingSystem sys(Options());

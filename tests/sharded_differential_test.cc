@@ -1,12 +1,13 @@
-// Sharded-vs-unsharded differential sweep: the scatter-gather executor's
-// exactness contract is that answers are BIT-identical to the
-// single-scheduler path for every shard count and every k — same
+// Sharded-vs-unsharded differential sweep: the corpus executor's
+// exactness contract is that answers are BIT-identical to one scheduler
+// over the whole selection for every shard count and every k — same
 // documents, same probabilities (exact double equality, not tolerance),
 // same match sets, same order. The sweep crosses a multi-pair corpus
-// with S in {1, 2, 4, 7} and k in {1, 3, 10}, plus the exhaustive
-// evaluate-everything oracle; a skewed single-pair corpus additionally
-// pins that pruning actually fires under sharding (the sweep would pass
-// vacuously if every item were evaluated).
+// (whole, a documents subset, a single document) with S in {1, 2, 4, 7}
+// and k in {1, 3, 10}, plus the exhaustive evaluate-everything oracle; a
+// skewed single-pair corpus additionally pins that pruning actually
+// fires under sharding (the sweep would pass vacuously if every item
+// were evaluated).
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,32 +139,52 @@ TEST_F(ShardedDifferentialTest, SweepIsBitIdenticalAcrossShardCountsAndK) {
   BatchRunOptions run;
   run.num_threads = 2;
 
+  // The whole corpus, a subset spanning both pairs whose documents fall
+  // into at least two shards at every S below, and a single document —
+  // fewer than two documents run as one scheduler at any S, so the
+  // single-document run carries no shard reports.
+  struct Selection {
+    std::string name;
+    std::vector<std::string> documents;
+  };
+  const std::vector<Selection> selections = {
+      {"corpus", {}},
+      {"subset", {"zz-other", scenario_->names[1], scenario_->names[2]}},
+      {"single", {scenario_->names[3]}},
+  };
+
   auto baseline = MakeSystem(1);
-  for (const int k : {1, 3, 10}) {
-    CorpusQueryOptions options;
-    options.top_k = k;
-    auto want = baseline->RunCorpusBatch(twigs, options, run);
-    ASSERT_TRUE(want.ok()) << want.status();
-    EXPECT_TRUE(want->shard_reports.empty());  // S=1: single scheduler
-    ExpectReportInvariant(*want, "S=1 k=" + std::to_string(k));
+  for (const Selection& selection : selections) {
+    for (const int k : {1, 3, 10}) {
+      CorpusQueryOptions options;
+      options.top_k = k;
+      options.documents = selection.documents;
+      const std::string base_label =
+          selection.name + " k=" + std::to_string(k);
+      auto want = baseline->RunCorpusBatch(twigs, options, run);
+      ASSERT_TRUE(want.ok()) << want.status();
+      EXPECT_TRUE(want->shard_reports.empty());  // S=1: single scheduler
+      ExpectReportInvariant(*want, "S=1 " + base_label);
 
-    // The exhaustive fan-out is the ground-truth oracle for this k.
-    CorpusQueryOptions exhaustive = options;
-    exhaustive.bounded = false;
-    auto oracle = baseline->RunCorpusBatch(twigs, exhaustive, run);
-    ASSERT_TRUE(oracle.ok()) << oracle.status();
-    ExpectBitIdenticalAnswers(*want, *oracle, "S=1 vs oracle k=" +
-                                                  std::to_string(k));
+      // The exhaustive fan-out is the ground-truth oracle for this k.
+      CorpusQueryOptions exhaustive = options;
+      exhaustive.bounded = false;
+      auto oracle = baseline->RunCorpusBatch(twigs, exhaustive, run);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      ExpectBitIdenticalAnswers(*want, *oracle, "S=1 vs oracle " + base_label);
 
-    for (const int s : {2, 4, 7}) {
-      const std::string label =
-          "S=" + std::to_string(s) + " k=" + std::to_string(k);
-      auto sys = MakeSystem(s);
-      auto got = sys->RunCorpusBatch(twigs, options, run);
-      ASSERT_TRUE(got.ok()) << label << ": " << got.status();
-      EXPECT_EQ(got->shard_reports.size(), static_cast<size_t>(s)) << label;
-      ExpectBitIdenticalAnswers(*got, *want, label);
-      ExpectReportInvariant(*got, label);
+      for (const int s : {2, 4, 7}) {
+        const std::string label = "S=" + std::to_string(s) + " " + base_label;
+        auto sys = MakeSystem(s);
+        auto got = sys->RunCorpusBatch(twigs, options, run);
+        ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+        const size_t want_reports =
+            selection.documents.size() == 1 ? 0 : static_cast<size_t>(s);
+        EXPECT_EQ(got->shard_reports.size(), want_reports) << label;
+        ExpectBitIdenticalAnswers(*got, *want, label);
+        ExpectBitIdenticalAnswers(*got, *oracle, label + " vs oracle");
+        ExpectReportInvariant(*got, label);
+      }
     }
   }
 }
