@@ -41,15 +41,23 @@ BlockTreeBuildResult BuildTree(const Env& env, double tau, int max_blocks,
 
 std::shared_ptr<const PreparedSchemaPair> MakePair(const Env& env,
                                                    double tau) {
-  // The pair owns copies of the matching and mapping set; the tree is
-  // built over the copy so every id stays consistent inside the pair.
-  PossibleMappingSet mappings = env.mappings;
-  BlockTreeBuilder builder(BlockTreeOptions{tau, kDefaultMaxB, kDefaultMaxF});
-  auto built = builder.Build(mappings);
-  UXM_CHECK_MSG(built.ok(), built.status().ToString());
   return MakePreparedSchemaPairFromProducts(env.dataset.matching,
-                                            std::move(mappings),
-                                            std::move(built).ValueOrDie());
+                                            env.mappings,
+                                            BuildTree(env, tau).tree);
+}
+
+double TimePtq(const PreparedSchemaPair& pair, const Env& env,
+               const std::string& twig, bool use_block_tree, int top_k) {
+  DriverRequest request;
+  request.pair = &pair;
+  request.doc = env.annotated.get();
+  request.twig = &twig;
+  request.use_block_tree = use_block_tree;
+  request.options.top_k = top_k;
+  return AvgSeconds([&] {
+    auto result = ExecutionDriver::Execute(request);
+    UXM_CHECK_MSG(result.ok(), result.status().ToString());
+  });
 }
 
 double AvgSeconds(const std::function<void()>& fn, int min_reps,

@@ -42,9 +42,17 @@ BlockTreeBuildResult BuildTree(const Env& env, double tau,
 
 /// Assembles a PreparedSchemaPair over the environment's mapping set
 /// (block tree built with `tau`), for driving the plan/driver/executor
-/// layers directly. The env must outlive the returned pair.
+/// layers directly. The env's schemas must outlive the returned pair.
 std::shared_ptr<const PreparedSchemaPair> MakePair(const Env& env,
                                                    double tau = kDefaultTau);
+
+/// Average seconds of one uncached ExecutionDriver::Execute of `twig`
+/// over `pair` and the env's document (AvgSeconds): Algorithm 4 when
+/// `use_block_tree`, else Algorithm 3; top_k > 0 is the top-k PTQ. The
+/// plan is compiled by the untimed warm-up run, so the figure covers
+/// top-k selection and evaluation.
+double TimePtq(const PreparedSchemaPair& pair, const Env& env,
+               const std::string& twig, bool use_block_tree, int top_k = 0);
 
 /// Average wall-clock seconds of `fn` over enough repetitions to
 /// accumulate at least `min_total_s` (and at least `min_reps` runs).

@@ -1,13 +1,9 @@
 // Ablations for design choices called out in DESIGN.md:
 //   (1) Murty child-expansion ordering (Pascoal-style heavy-first vs
 //       plain row order) — affects how early the bounded queue trims;
-//   (2) stack-based structural join vs naive nested-loop join;
-//   (3) query evaluation with vs without the hash table's block lookup
+//   (2) query evaluation with vs without the hash table's block lookup
 //       (tau = 1 yields an empty tree: pure decomposition).
-#include <algorithm>
-
 #include "bench/bench_util.h"
-#include "query/structural_join.h"
 
 int main() {
   using namespace uxm;
@@ -32,50 +28,16 @@ int main() {
     }
   }
 
-  // (2) Stack join vs nested-loop join on the benchmark document.
+  // (2) Block lookup on/off for Q7.
   {
     Env env = MakeEnv("D7", kDefaultM, /*with_doc=*/true);
-    const Document& doc = env.annotated->doc();
-    std::vector<DocNodeId> anc;
-    std::vector<DocNodeId> desc;
-    for (DocNodeId i = 0; i < doc.size(); ++i) {
-      if (doc.node(i).level <= 2) anc.push_back(i);
-      if (doc.node(i).children.empty()) desc.push_back(i);
-    }
-    auto by_start = [&](DocNodeId a, DocNodeId b) {
-      return doc.node(a).start < doc.node(b).start;
-    };
-    std::sort(anc.begin(), anc.end(), by_start);
-    std::sort(desc.begin(), desc.end(), by_start);
-    const double t_stack = AvgSeconds(
-        [&] { (void)StackJoin(doc, anc, desc, false); });
-    static volatile size_t sink = 0;  // defeat dead-code elimination
-    const double t_naive = AvgSeconds([&] {
-      size_t hits = 0;
-      for (DocNodeId a : anc) {
-        for (DocNodeId d : desc) {
-          if (doc.IsAncestor(a, d)) ++hits;
-        }
-      }
-      sink = hits;
-    });
-    (void)sink;
-    std::printf("structural join: stack=%.4fms naive=%.4fms (%.1fx)\n",
-                t_stack * 1e3, t_naive * 1e3, t_naive / t_stack);
-  }
-
-  // (3) Block lookup on/off for Q7.
-  {
-    Env env = MakeEnv("D7", kDefaultM, /*with_doc=*/true);
-    const auto with_blocks = BuildTree(env, kDefaultTau);
-    const auto no_blocks = BuildTree(env, /*tau=*/1.0);  // empty tree
-    PtqEvaluator eval(&env.mappings, env.annotated.get());
-    auto q = TwigQuery::Parse(TableIIIQueries()[6]);
-    UXM_CHECK(q.ok());
-    const double t_on = AvgSeconds(
-        [&] { (void)eval.EvaluateWithBlockTree(*q, with_blocks.tree); });
-    const double t_off = AvgSeconds(
-        [&] { (void)eval.EvaluateWithBlockTree(*q, no_blocks.tree); });
+    const auto with_blocks = MakePair(env, kDefaultTau);
+    const auto no_blocks = MakePair(env, /*tau=*/1.0);  // empty tree
+    const std::string& twig = TableIIIQueries()[6];
+    const double t_on =
+        TimePtq(*with_blocks, env, twig, /*use_block_tree=*/true);
+    const double t_off =
+        TimePtq(*no_blocks, env, twig, /*use_block_tree=*/true);
     std::printf("Q7 with blocks=%.4fms, empty tree (pure decomposition)="
                 "%.4fms (%.1fx)\n",
                 t_on * 1e3, t_off * 1e3, t_off / t_on);

@@ -9,16 +9,13 @@ int main() {
   using namespace uxm::bench;
   PrintHeader("exp_fig10b_tau", "Figure 10(b): Tq vs tau (Q10, block-tree)");
   Env env = MakeEnv("D7", kDefaultM, /*with_doc=*/true);
-  PtqEvaluator eval(&env.mappings, env.annotated.get());
-  auto q = TwigQuery::Parse(TableIIIQueries()[9]);
-  UXM_CHECK(q.ok());
   std::printf("%6s %12s %10s\n", "tau", "Tq (ms)", "blocks");
   for (double tau : {0.02, 0.12, 0.22, 0.32, 0.42, 0.52, 0.65}) {
-    const auto built = BuildTree(env, tau);
-    const double tq = AvgSeconds(
-        [&] { (void)eval.EvaluateWithBlockTree(*q, built.tree); });
-    std::printf("%6.2f %12.4f %10d\n", tau, tq * 1e3,
-                built.tree.TotalBlocks());
+    const auto pair = MakePair(env, tau);
+    const double tq = TimePtq(*pair, env, TableIIIQueries()[9],
+                              /*use_block_tree=*/true);
+    std::printf("%6.2f %12.4f %10u\n", tau, tq * 1e3,
+                pair->flat->tree.num_blocks());
   }
   std::printf("\npaper: Tq rises from tau=0.02 to ~0.2, then drops for "
               "tau >= 0.4.\n");

@@ -11,13 +11,10 @@ int main() {
   int rows = 0;
   for (int m : {30, 40, 50, 60, 70, 80, 90, 100, 120, 140, 160, 180, 200}) {
     Env env = MakeEnv("D7", m, /*with_doc=*/true);
-    const auto built = BuildTree(env, kDefaultTau);
-    PtqEvaluator eval(&env.mappings, env.annotated.get());
-    auto q = TwigQuery::Parse(TableIIIQueries()[9]);
-    UXM_CHECK(q.ok());
-    const double tb = AvgSeconds([&] { (void)eval.EvaluateBasic(*q); });
-    const double tt = AvgSeconds(
-        [&] { (void)eval.EvaluateWithBlockTree(*q, built.tree); });
+    const auto pair = MakePair(env);
+    const std::string& twig = TableIIIQueries()[9];
+    const double tb = TimePtq(*pair, env, twig, /*use_block_tree=*/false);
+    const double tt = TimePtq(*pair, env, twig, /*use_block_tree=*/true);
     const double impr = 100.0 * (tb - tt) / tb;
     sum_impr += impr;
     ++rows;

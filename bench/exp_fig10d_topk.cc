@@ -6,19 +6,14 @@ int main() {
   using namespace uxm::bench;
   PrintHeader("exp_fig10d_topk", "Figure 10(d): Tq vs k (Q10, top-k PTQ)");
   Env env = MakeEnv("D7", kDefaultM, /*with_doc=*/true);
-  const auto built = BuildTree(env, kDefaultTau);
-  PtqEvaluator eval(&env.mappings, env.annotated.get());
-  auto q = TwigQuery::Parse(TableIIIQueries()[9]);
-  UXM_CHECK(q.ok());
-  const double normal = AvgSeconds(
-      [&] { (void)eval.EvaluateWithBlockTree(*q, built.tree); });
+  const auto pair = MakePair(env);
+  const std::string& twig = TableIIIQueries()[9];
+  const double normal = TimePtq(*pair, env, twig, /*use_block_tree=*/true);
   std::printf("%6s %12s %12s %12s\n", "k", "top-k (ms)", "normal (ms)",
               "improvement");
   for (int k : {10, 20, 30, 40, 50, 60, 70, 80, 90, 100}) {
-    PtqOptions opts;
-    opts.top_k = k;
-    const double topk = AvgSeconds(
-        [&] { (void)eval.EvaluateWithBlockTree(*q, built.tree, opts); });
+    const double topk =
+        TimePtq(*pair, env, twig, /*use_block_tree=*/true, k);
     std::printf("%6d %12.4f %12.4f %11.1f%%\n", k, topk * 1e3, normal * 1e3,
                 100.0 * (normal - topk) / normal);
   }

@@ -8,18 +8,14 @@ namespace bench {
 /// Shared by exp_fig9f (|M|=100) and exp_fig10a (|M|=500).
 int RunQueryComparison(int num_mappings) {
   Env env = MakeEnv("D7", num_mappings, /*with_doc=*/true);
-  const auto built = BuildTree(env, kDefaultTau);
-  PtqEvaluator eval(&env.mappings, env.annotated.get());
+  const auto pair = MakePair(env);
   std::printf("%-4s %12s %12s %12s\n", "Q", "basic (ms)", "block-tree",
               "improvement");
   double sum_impr = 0;
   for (int qi = 0; qi < 10; ++qi) {
-    auto q = TwigQuery::Parse(TableIIIQueries()[static_cast<size_t>(qi)]);
-    UXM_CHECK(q.ok());
-    const double tb =
-        AvgSeconds([&] { (void)eval.EvaluateBasic(*q); });
-    const double tt = AvgSeconds(
-        [&] { (void)eval.EvaluateWithBlockTree(*q, built.tree); });
+    const std::string& twig = TableIIIQueries()[static_cast<size_t>(qi)];
+    const double tb = TimePtq(*pair, env, twig, /*use_block_tree=*/false);
+    const double tt = TimePtq(*pair, env, twig, /*use_block_tree=*/true);
     const double impr = 100.0 * (tb - tt) / tb;
     sum_impr += impr;
     std::printf("Q%-3d %12.4f %12.4f %11.1f%%\n", qi + 1, tb * 1e3, tt * 1e3,

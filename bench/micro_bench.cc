@@ -19,8 +19,8 @@
 #include "exec/batch_executor.h"
 #include "exec/thread_pool.h"
 #include "plan/driver.h"
+#include "query/flat_kernel.h"
 #include "query/ptq.h"
-#include "query/structural_join.h"
 #include "workload/corpus_generator.h"
 
 namespace uxm {
@@ -86,34 +86,15 @@ void BM_BlockTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockTreeBuild)->Arg(100)->Arg(200);
 
-void BM_StackJoin(benchmark::State& state) {
-  bench::Env env = bench::MakeEnv("D7", 10, /*with_doc=*/true);
-  const Document& doc = env.annotated->doc();
-  std::vector<DocNodeId> anc;
-  std::vector<DocNodeId> desc;
-  for (DocNodeId i = 0; i < doc.size(); ++i) {
-    if (doc.node(i).level <= 2) anc.push_back(i);
-    if (doc.node(i).children.empty()) desc.push_back(i);
-  }
-  auto by_start = [&](DocNodeId a, DocNodeId b) {
-    return doc.node(a).start < doc.node(b).start;
-  };
-  std::sort(anc.begin(), anc.end(), by_start);
-  std::sort(desc.begin(), desc.end(), by_start);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(StackJoin(doc, anc, desc, false));
-  }
-}
-BENCHMARK(BM_StackJoin);
-
 void BM_PtqBlockTree(benchmark::State& state) {
   static bench::Env env = bench::MakeEnv("D7", 100, /*with_doc=*/true);
-  static auto built = bench::BuildTree(env, 0.2);
-  PtqEvaluator eval(&env.mappings, env.annotated.get());
-  auto q = TwigQuery::Parse(
-      TableIIIQueries()[static_cast<size_t>(state.range(0))]);
+  static auto pair = bench::MakePair(env, 0.2);
+  DriverRequest request;
+  request.pair = pair.get();
+  request.doc = env.annotated.get();
+  request.twig = &TableIIIQueries()[static_cast<size_t>(state.range(0))];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.EvaluateWithBlockTree(*q, built.tree));
+    benchmark::DoNotOptimize(ExecutionDriver::Execute(request));
   }
 }
 BENCHMARK(BM_PtqBlockTree)->Arg(0)->Arg(4)->Arg(9);
@@ -301,18 +282,19 @@ void BM_UnprunedTopK(benchmark::State& state) {
   static bench::Env env = bench::MakeEnv("D7", 500, /*with_doc=*/true);
   static auto pair = bench::MakePair(env, 0.2);
   const std::vector<std::string>& twigs = TableIIIQueries();
-  PtqEvaluator eval(&pair->mappings, env.annotated.get());
   PtqOptions opts;
   opts.top_k = 5;
+  MonotonicScratch* arena = ThreadLocalScratch();
   for (auto _ : state) {
     for (const std::string& twig : twigs) {
       auto q = TwigQuery::Parse(twig);
-      auto embeddings = EmbedQueryInSchema(*q, pair->mappings.target(),
+      auto embeddings = EmbedQueryInSchema(*q, env.mappings.target(),
                                            opts.max_embeddings);
       const std::vector<MappingId> relevant =
-          FilterRelevantMappings(pair->mappings, embeddings, opts.top_k);
-      auto result = eval.EvaluateTreePrepared(*q, embeddings, relevant,
-                                              false, pair->tree(), opts);
+          FilterRelevantMappings(env.mappings, embeddings, opts.top_k);
+      arena->Reset();
+      auto result = EvaluateTreeFlat(*q, embeddings, relevant, false,
+                                     *pair->flat, *env.annotated, opts, arena);
       benchmark::DoNotOptimize(result);
     }
   }

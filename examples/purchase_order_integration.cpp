@@ -129,9 +129,20 @@ int main() {
 
   // ---- The intro query: contact name of the invoice party ----
   auto ad = AnnotatedDocument::Bind(&doc, &source);
-  auto q = TwigQuery::Parse("//INVOICE_PARTY//CONTACT_NAME");
-  PtqEvaluator eval(&mappings, &*ad);
-  auto result = eval.EvaluateWithBlockTree(*q, built->tree);
+  // Algorithm 4 through the execution driver, over a pair prepared from
+  // the hand-built mappings and block tree.
+  const auto pair = MakePreparedSchemaPairFromProducts(
+      SchemaMatching(&source, &target), mappings, built->tree);
+  const std::string twig = "//INVOICE_PARTY//CONTACT_NAME";
+  DriverRequest request;
+  request.pair = pair.get();
+  request.doc = &*ad;
+  request.twig = &twig;
+  auto result = ExecutionDriver::Execute(request);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\nPTQ //INVOICE_PARTY//CONTACT_NAME:\n");
   for (const MappingAnswer& a : result->answers) {
     std::printf("  m%d (p=%.2f):", a.mapping + 1, a.probability);

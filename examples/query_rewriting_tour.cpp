@@ -58,23 +58,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 3. Evaluate against a document, comparing the evaluators.
+  // 3. Evaluate against a document through the execution driver,
+  //    comparing Algorithm 3 with Algorithm 4. The pair flattens the
+  //    mappings and their block tree.
   Document doc = GenerateDocument(
       source, DocGenOptions{.seed = 7, .target_nodes = 3473});
   auto ad = AnnotatedDocument::Bind(&doc, &source);
   BlockTreeBuilder builder(BlockTreeOptions{0.2, 500, 500});
   auto built = builder.Build(*mappings);
-  PtqEvaluator eval(&*mappings, &*ad);
+  const auto pair = MakePreparedSchemaPairFromProducts(
+      dataset->matching, *mappings, built->tree);
+  DriverRequest request;
+  request.pair = pair.get();
+  request.doc = &*ad;
+  request.twig = &query_text;
 
+  request.use_block_tree = false;
   Timer tb;
-  auto basic = eval.EvaluateBasic(*q);
+  auto basic = ExecutionDriver::Execute(request);
   const double basic_s = tb.ElapsedSeconds();
+  request.use_block_tree = true;
   Timer tt;
-  auto tree = eval.EvaluateWithBlockTree(*q, built->tree);
+  auto tree = ExecutionDriver::Execute(request);
   const double tree_s = tt.ElapsedSeconds();
+  if (!basic.ok() || !tree.ok()) {
+    std::fprintf(stderr, "evaluation failed\n");
+    return 1;
+  }
   std::printf("\nquery_basic: %.2f ms, twig_query_tree: %.2f ms "
-              "(%d c-blocks in the tree)\n",
-              basic_s * 1e3, tree_s * 1e3, built->tree.TotalBlocks());
+              "(%u c-blocks in the tree)\n",
+              basic_s * 1e3, tree_s * 1e3, pair->flat->tree.num_blocks());
   size_t total = 0;
   for (const auto& a : tree->answers) total += a.matches.size();
   std::printf("answers: %zu relevant mappings, %zu output bindings, "
@@ -82,10 +95,9 @@ int main(int argc, char** argv) {
               tree->answers.size(), total, tree->NonEmptyMass());
 
   // 4. Top-k restriction.
-  PtqOptions topk;
-  topk.top_k = 10;
+  request.options.top_k = 10;
   Timer tk;
-  auto top = eval.EvaluateWithBlockTree(*q, built->tree, topk);
+  auto top = ExecutionDriver::Execute(request);
   std::printf("top-10 PTQ: %.2f ms, %zu answers\n",
               tk.ElapsedSeconds() * 1e3, top->answers.size());
   return 0;

@@ -35,13 +35,10 @@ int main() {
   auto pair = system.prepared_pair();
   std::printf("matching capacity: %d correspondences\n",
               pair->matching.size());
-  std::printf("possible mappings: %d (o-ratio %.2f)\n",
-              pair->mappings.size(),
-              pair->mappings.AverageOverlapRatio(2000));
-  std::printf("block tree: %d c-blocks, compression %.1f%%\n",
-              pair->tree().TotalBlocks(),
-              100.0 * pair->build.CompressionRatio(
-                          pair->mappings.NaiveStorageBytes()));
+  // The pair keeps only its flat evaluation index: the mapping matrix
+  // and the flattened block tree.
+  std::printf("possible mappings: %u\n", pair->flat->mappings.num_mappings);
+  std::printf("block tree: %u c-blocks\n", pair->flat->tree.num_blocks());
 
   // 3. Attach a document conforming to the source schema (stands in for
   //    the paper's Order.xml with 3473 nodes).

@@ -32,15 +32,6 @@ std::shared_ptr<const PreparedSchemaPair> FinishFromFlat(
   return pair;
 }
 
-std::shared_ptr<const PreparedSchemaPair> Finish(
-    std::shared_ptr<PreparedSchemaPair> pair, size_t max_embeddings,
-    std::shared_ptr<EmbeddingCache> embedding_cache) {
-  pair->flat = std::make_shared<const FlatPairIndex>(
-      BuildFlatPairIndex(pair->mappings, &pair->build.tree));
-  return FinishFromFlat(std::move(pair), max_embeddings,
-                        std::move(embedding_cache));
-}
-
 }  // namespace
 
 Result<std::shared_ptr<const PreparedSchemaPair>> BuildPreparedSchemaPair(
@@ -48,25 +39,25 @@ Result<std::shared_ptr<const PreparedSchemaPair>> BuildPreparedSchemaPair(
   if (matching.empty()) {
     return Status::InvalidArgument("matching has no correspondences");
   }
-  auto pair = std::make_shared<PreparedSchemaPair>();
-  pair->matching = std::move(matching);
-  TopHGenerator generator(options.top_h);
-  UXM_ASSIGN_OR_RETURN(pair->mappings, generator.Generate(pair->matching));
-  BlockTreeBuilder builder(options.block_tree);
-  UXM_ASSIGN_OR_RETURN(pair->build, builder.Build(pair->mappings));
-  return Finish(std::move(pair), options.max_embeddings,
-                options.embedding_cache);
+  UXM_ASSIGN_OR_RETURN(PossibleMappingSet mappings,
+                       TopHGenerator(options.top_h).Generate(matching));
+  UXM_ASSIGN_OR_RETURN(BlockTreeBuildResult build,
+                       BlockTreeBuilder(options.block_tree).Build(mappings));
+  return MakePreparedSchemaPairFromProducts(
+      std::move(matching), mappings, build.tree, options.max_embeddings,
+      options.embedding_cache);
 }
 
 std::shared_ptr<const PreparedSchemaPair> MakePreparedSchemaPairFromProducts(
-    SchemaMatching matching, PossibleMappingSet mappings,
-    BlockTreeBuildResult build, size_t max_embeddings,
+    SchemaMatching matching, const PossibleMappingSet& mappings,
+    const BlockTree& tree, size_t max_embeddings,
     std::shared_ptr<EmbeddingCache> embedding_cache) {
   auto pair = std::make_shared<PreparedSchemaPair>();
   pair->matching = std::move(matching);
-  pair->mappings = std::move(mappings);
-  pair->build = std::move(build);
-  return Finish(std::move(pair), max_embeddings, std::move(embedding_cache));
+  pair->flat = std::make_shared<const FlatPairIndex>(
+      BuildFlatPairIndex(mappings, &tree));
+  return FinishFromFlat(std::move(pair), max_embeddings,
+                        std::move(embedding_cache));
 }
 
 std::shared_ptr<const PreparedSchemaPair> MakePreparedSchemaPairFromFlatIndex(

@@ -46,19 +46,15 @@ struct PreparedSchemaPair {
   /// sharing a document never collide).
   uint64_t pair_id = 0;
   SchemaMatching matching;
-  /// Build-time intermediates, kept for introspection and for the
-  /// snapshot writer. A pair loaded from a snapshot leaves both EMPTY —
-  /// everything evaluation needs lives in `flat`/`order`/`compiler`.
-  PossibleMappingSet mappings;
-  BlockTreeBuildResult build;
   /// Shared work-unit order (descending probability + residual bounds).
   std::shared_ptr<const MappingOrder> order;
   /// Plan cache over this pair's mappings; shared by every query path.
   std::shared_ptr<QueryCompiler> compiler;
   /// Flat SoA evaluation index (mapping matrix + flattened block tree) —
-  /// the ONLY structure the evaluation kernel reads. Built from
-  /// `mappings`/`build` at Finish time, or viewed zero-copy out of a
-  /// snapshot mmap (src/snapshot/).
+  /// the ONLY structure the evaluation kernel and the snapshot writer
+  /// read. Flattened from the top-h mapping set and its block tree at
+  /// build time, or viewed zero-copy out of a snapshot mmap
+  /// (src/snapshot/), so built and loaded pairs have one shape.
   std::shared_ptr<const FlatPairIndex> flat;
   /// Set only for snapshot-loaded pairs: the schemas the pair references
   /// were materialized by the loader, so the pair keeps them alive
@@ -68,7 +64,6 @@ struct PreparedSchemaPair {
 
   const Schema* source() const { return matching.source_ptr(); }
   const Schema* target() const { return matching.target_ptr(); }
-  const BlockTree& tree() const { return build.tree; }
 };
 
 /// \brief Preparation knobs (the schema-level slice of SystemOptions).
@@ -82,17 +77,19 @@ struct PairBuildOptions {
 };
 
 /// Builds a pair from a finalized matching: generates the top-h mappings,
-/// builds the block tree, derives the work-unit order, and seeds the plan
-/// compiler. The schemas referenced by `matching` must outlive the pair.
+/// builds the block tree, flattens both, derives the work-unit order, and
+/// seeds the plan compiler. The schemas referenced by `matching` must
+/// outlive the pair.
 Result<std::shared_ptr<const PreparedSchemaPair>> BuildPreparedSchemaPair(
     SchemaMatching matching, const PairBuildOptions& options);
 
-/// Assembles a pair from already-built products (tests and benches that
-/// hand-craft mapping sets / trees). `build` must have been produced from
-/// a mapping set with the same contents as `mappings`.
+/// Assembles a pair from already-built products (tests, benches and
+/// examples that hand-craft mapping sets / trees). `tree` must have been
+/// built from `mappings`; both are flattened into the pair and may be
+/// dropped afterwards.
 std::shared_ptr<const PreparedSchemaPair> MakePreparedSchemaPairFromProducts(
-    SchemaMatching matching, PossibleMappingSet mappings,
-    BlockTreeBuildResult build, size_t max_embeddings = 256,
+    SchemaMatching matching, const PossibleMappingSet& mappings,
+    const BlockTree& tree, size_t max_embeddings = 256,
     std::shared_ptr<EmbeddingCache> embedding_cache = nullptr);
 
 /// Assembles a pair around an already-flat index — the snapshot loader's

@@ -23,7 +23,7 @@ struct Span {
   const DocNodeId* end() const { return data + size; }
 };
 
-/// Arena twin of TwigMatcher::ProjectedMatches::outputs entries.
+/// One (subquery-root binding, output-node binding) pair.
 struct OutPair {
   DocNodeId root = kInvalidDocNode;
   DocNodeId out = kInvalidDocNode;
@@ -36,8 +36,11 @@ inline bool operator==(const OutPair& a, const OutPair& b) {
   return a.root == b.root && a.out == b.out;
 }
 
-/// Arena twin of TwigMatcher::ProjectedMatches. Zero-initialized memory
-/// is a valid empty result, so per-mapping arrays can be memset.
+/// The projected (output-node) matches of one subquery: the document nodes
+/// that can bind its root with the whole subquery matching below them,
+/// plus — when the query's output node lies inside — the distinct (root,
+/// output) pairs. Zero-initialized memory is a valid empty result, so
+/// per-mapping arrays can be memset.
 struct FlatProjected {
   Span roots;
   const OutPair* outputs = nullptr;
@@ -51,13 +54,12 @@ struct FlatProjected {
 class FlatEvaluator {
  public:
   FlatEvaluator(const TwigQuery& query, const FlatPairIndex& index,
-                const AnnotatedDocument& doc, const PtqOptions& options,
+                const AnnotatedDocument& doc,
                 const std::vector<MappingId>& relevant,
                 MonotonicScratch* arena, const KernelCancelContext* cancel)
       : query_(query),
         index_(index),
         doc_(doc),
-        options_(options),
         relevant_(relevant),
         arena_(arena),
         cancel_(cancel != nullptr && (cancel->threshold != nullptr ||
@@ -144,8 +146,10 @@ class FlatEvaluator {
     return cancelled_;
   }
 
-  /// Mirror of TwigMatcher::Candidates. Without a value predicate the
-  /// span aliases the document's instance list directly — no copy.
+  /// Candidate document nodes for query node `q_node` bound to source
+  /// element `bound`: its instances filtered by the node's value
+  /// predicate, in document order. Without a predicate the span aliases
+  /// the document's instance list directly — no copy.
   Span Candidates(int q_node, SchemaNodeId bound) {
     Span s;
     if (bound == kInvalidSchemaNode) return s;
@@ -166,10 +170,15 @@ class FlatEvaluator {
     return s;
   }
 
-  /// Mirror of TwigMatcher::MatchProjected over spans.
+  /// Matches the subquery rooted at `q_root` under `binding` (source
+  /// element per query node) with output-node semantics — the "match" of
+  /// §IV-A projected to Definition 4's distinguished node. Both '/' and
+  /// '//' edges are matched as ancestor-descendant: a '/' in the target
+  /// query generally spans a longer downward path in the source document
+  /// (the constraint-based rewriting of [2] inserts the intermediate
+  /// steps).
   FlatProjected MatchProjected(const SchemaNodeId* binding, int q_root) {
     const Document& doc = doc_.doc();
-    const bool relax = options_.match.relax_child_axis;
     FlatProjected result;
 
     // sat[q]: sorted doc nodes satisfying the subquery rooted at q.
@@ -192,25 +201,8 @@ class FlatEvaluator {
         const DocNode& dn = doc.node(d);
         bool ok = true;
         for (int c : qn.children) {
-          const TwigNode& cn = query_.node(c);
-          const Span& cs = sat[static_cast<size_t>(c)];
           // Any satisfying child-root strictly inside d's region?
-          const DocNodeId* lo = std::lower_bound(
-              cs.begin(), cs.end(), dn.start,
-              [&doc](DocNodeId x, int32_t start) {
-                return doc.node(x).start <= start;
-              });
-          bool found = false;
-          for (const DocNodeId* it = lo; it != cs.end(); ++it) {
-            if (doc.node(*it).start >= dn.end) break;
-            if (cn.axis == Axis::kChild && !relax &&
-                doc.node(*it).parent != d) {
-              continue;
-            }
-            found = true;
-            break;
-          }
-          if (!found) {
+          if (!AnyInside(sat[static_cast<size_t>(c)], dn)) {
             ok = false;
             break;
           }
@@ -238,9 +230,7 @@ class FlatEvaluator {
     pairs.reserve(result.roots.size);
     for (DocNodeId r : result.roots) pairs.push_back(OutPair{r, r});
     for (size_t i = 1; i < chain.size(); ++i) {
-      const int q = chain[i];
-      const TwigNode& qn = query_.node(q);
-      const Span& cs = sat[static_cast<size_t>(q)];
+      const Span& cs = sat[static_cast<size_t>(chain[i])];
       ScratchVec<OutPair> next(arena_);
       for (size_t pi = 0; pi < pairs.size(); ++pi) {
         if (Tick()) break;
@@ -253,10 +243,6 @@ class FlatEvaluator {
             });
         for (const DocNodeId* it = lo; it != cs.end(); ++it) {
           if (doc.node(*it).start >= dn.end) break;
-          if (qn.axis == Axis::kChild && !relax &&
-              doc.node(*it).parent != p.out) {
-            continue;
-          }
           next.push_back(OutPair{p.root, *it});
         }
       }
@@ -270,6 +256,18 @@ class FlatEvaluator {
     return result;
   }
 
+  /// True iff some node of `sorted` (document order) lies strictly inside
+  /// `dn`'s region — the containment test every region join runs.
+  bool AnyInside(const Span& sorted, const DocNode& dn) const {
+    const Document& doc = doc_.doc();
+    const DocNodeId* lo = std::lower_bound(
+        sorted.begin(), sorted.end(), dn.start,
+        [&doc](DocNodeId x, int32_t start) {
+          return doc.node(x).start <= start;
+        });
+    return lo != sorted.end() && doc.node(*lo).start < dn.end;
+  }
+
   /// One embedding of Algorithm 4: returns the root's per-mapping
   /// projected array (indexed by MappingId; only relevant slots valid).
   /// `root_rep` (indexed by MappingId, relevant slots valid) receives for
@@ -278,9 +276,9 @@ class FlatEvaluator {
   /// is what lets the caller share answer assembly across mappings.
   const FlatProjected* EvalEmbedding(
       const std::vector<SchemaNodeId>& embedding, MappingId* root_rep) {
-    // The legacy recursion visits a node and either (a) takes the c-block
-    // fast path, (b) evaluates a leaf, or (c) descends into children and
-    // recombines. Replay it iteratively: pass 1 collects the visited
+    // Algorithm 4's recursion visits a node and either (a) takes the
+    // c-block fast path, (b) evaluates a leaf, or (c) descends into
+    // children and recombines. Replay it iteratively: pass 1 collects the visited
     // nodes in pre-order; pass 2 processes them in reverse, so children's
     // per-mapping arrays exist before their parent recombines them.
     ScratchVec<int> visit(arena_);
@@ -314,8 +312,8 @@ class FlatEvaluator {
   }
 
  private:
-  /// Mirror of PtqEvaluator::EvalTreeRec's per-node body; children (when
-  /// descended into) are already in outs[child]. When `rep` is non-null
+  /// One query node of Algorithm 4's recursion; children (when descended
+  /// into) are already in outs[child]. When `rep` is non-null
   /// (root call), rep[mid] is set to the mapping whose evaluation mid's
   /// slot shares (itself when unshared).
   void EvalNode(const std::vector<SchemaNodeId>& embedding, int q_node,
@@ -329,8 +327,7 @@ class FlatEvaluator {
     if (tree.self_anchored[static_cast<size_t>(t)]) {
       // query_subtree (Algorithm 4): evaluate the subquery once per
       // c-block and replicate the result to every mapping sharing the
-      // block — a span copy here, where the legacy path refcounts a
-      // shared_ptr.
+      // block (a span copy per mapping).
       uint8_t* assigned = arena_->AllocateArray<uint8_t>(maps.num_mappings);
       std::memset(assigned, 0, maps.num_mappings);
       SchemaNodeId* binding =
@@ -447,7 +444,7 @@ class FlatEvaluator {
   }
 
   /// One mapping's leaf/internal-node evaluation (the per-mapping body of
-  /// the legacy EvalTreeRec); children are already in outs[child].
+  /// Algorithm 4's recursion); children are already in outs[child].
   FlatProjected EvalOneMapping(const std::vector<SchemaNodeId>& embedding,
                                int q_node, FlatProjected** outs,
                                MappingId mid, bool is_output_here,
@@ -456,7 +453,6 @@ class FlatEvaluator {
     const TwigNode& qn = query_.node(q_node);
     const SchemaNodeId t = embedding[static_cast<size_t>(q_node)];
     const SchemaNodeId src = index_.mappings.Row(mid)[t];
-    const bool relax = options_.match.relax_child_axis;
     FlatProjected y;
     if (qn.children.empty()) {
       // Single-node subquery: candidates directly.
@@ -470,25 +466,8 @@ class FlatEvaluator {
         const DocNode& dn = doc.node(d);
         bool ok = true;
         for (size_t j = 0; j < qn.children.size() && ok; ++j) {
-          const int c = qn.children[j];
-          const TwigNode& cn = query_.node(c);
-          const Span& rs = outs[c][static_cast<size_t>(mid)].roots;
-          const DocNodeId* lo = std::lower_bound(
-              rs.begin(), rs.end(), dn.start,
-              [&doc](DocNodeId x, int32_t start) {
-                return doc.node(x).start <= start;
-              });
-          bool found = false;
-          for (const DocNodeId* it = lo; it != rs.end(); ++it) {
-            if (doc.node(*it).start >= dn.end) break;
-            if (cn.axis == Axis::kChild && !relax &&
-                doc.node(*it).parent != d) {
-              continue;
-            }
-            found = true;
-            break;
-          }
-          ok = found;
+          ok = AnyInside(outs[qn.children[j]][static_cast<size_t>(mid)].roots,
+                         dn);
         }
         if (ok) roots.push_back(d);
       }
@@ -507,7 +486,6 @@ class FlatEvaluator {
       // Lift (child-root, output) pairs whose child-root lies under one
       // of our surviving roots.
       const int c = qn.children[static_cast<size_t>(output_child_idx)];
-      const TwigNode& cn = query_.node(c);
       const FlatProjected& co = outs[c][static_cast<size_t>(mid)];
       ScratchVec<OutPair> lifted(arena_);
       for (DocNodeId d : y.roots) {
@@ -516,7 +494,6 @@ class FlatEvaluator {
           const OutPair p = co.outputs[pi];
           const DocNode& rn = doc.node(p.root);
           if (rn.start <= dn.start || rn.start >= dn.end) continue;
-          if (cn.axis == Axis::kChild && !relax && rn.parent != d) continue;
           lifted.push_back(OutPair{d, p.out});
         }
       }
@@ -537,7 +514,6 @@ class FlatEvaluator {
   const TwigQuery& query_;
   const FlatPairIndex& index_;
   const AnnotatedDocument& doc_;
-  const PtqOptions& options_;
   const std::vector<MappingId>& relevant_;
   MonotonicScratch* arena_;
   const KernelCancelContext* cancel_;
@@ -566,14 +542,14 @@ Result<PtqResult> EvaluateBasicFlat(
     const std::vector<std::vector<SchemaNodeId>>& embeddings,
     const std::vector<MappingId>& relevant, bool truncated,
     const FlatPairIndex& index, const AnnotatedDocument& doc,
-    const PtqOptions& options, MonotonicScratch* arena,
+    const PtqOptions& /*options*/, MonotonicScratch* arena,
     const KernelCancelContext* cancel) {
   UXM_INJECT_FAULT(FaultSite::kKernelEval);
   if (query.size() == 0) return Status::InvalidArgument("empty query");
   PtqResult result;
   result.truncated_embeddings = truncated;
   if (relevant.empty()) return result;
-  FlatEvaluator ev(query, index, doc, options, relevant, arena, cancel);
+  FlatEvaluator ev(query, index, doc, relevant, arena, cancel);
   SchemaNodeId* binding =
       arena->AllocateArray<SchemaNodeId>(static_cast<size_t>(query.size()));
   for (MappingId mid : relevant) {
@@ -623,14 +599,14 @@ Result<PtqResult> EvaluateTreeFlat(
     const std::vector<std::vector<SchemaNodeId>>& embeddings,
     const std::vector<MappingId>& relevant, bool truncated,
     const FlatPairIndex& index, const AnnotatedDocument& doc,
-    const PtqOptions& options, MonotonicScratch* arena,
+    const PtqOptions& /*options*/, MonotonicScratch* arena,
     const KernelCancelContext* cancel) {
   UXM_INJECT_FAULT(FaultSite::kKernelEval);
   if (query.size() == 0) return Status::InvalidArgument("empty query");
   PtqResult result;
   result.truncated_embeddings = truncated;
   if (relevant.empty()) return result;
-  FlatEvaluator ev(query, index, doc, options, relevant, arena, cancel);
+  FlatEvaluator ev(query, index, doc, relevant, arena, cancel);
   const size_t m = index.mappings.num_mappings;
   const size_t n_rel = relevant.size();
   const size_t n_emb = embeddings.size();

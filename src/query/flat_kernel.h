@@ -1,17 +1,20 @@
-// Flat-array PTQ evaluation kernel (ROADMAP item 3).
+// Flat-array PTQ evaluation kernel.
 //
-// Drop-in replacements for PtqEvaluator::EvaluateTreePrepared /
-// EvaluateBasicPrepared that run entirely over the FlatPairIndex
-// (blocktree/flat_block_tree.h) with every intermediate — candidate
-// lists, satisfaction sets, per-mapping projected results, output
-// accumulators — carved out of a caller-supplied MonotonicScratch. The
-// only heap traffic per call is the returned PtqResult; once the arena
-// has grown to the workload's high-water mark, the steady-state inner
-// loop performs zero allocations.
+// Algorithms 3 and 4 of §IV over the FlatPairIndex
+// (blocktree/flat_block_tree.h), computing Definition 4's answer — one
+// match set per relevant mapping, projected to the twig's output node —
+// with every intermediate (candidate lists, satisfaction sets,
+// per-mapping projected results, output accumulators) carved out of a
+// caller-supplied MonotonicScratch. The only heap traffic per call is the
+// returned PtqResult; once the arena has grown to the workload's
+// high-water mark, the steady-state inner loop performs zero allocations.
 //
-// This is THE evaluation kernel: the execution driver and PtqEvaluator
-// both run through it (the legacy pointer kernel it replaced was
-// differential-tested bit-identical before deletion).
+// This is THE evaluation kernel: ExecutionDriver (plan/driver.h), the
+// library's one PTQ front-end, runs every request through it. Its oracle
+// is the naive Definition-4 evaluator in tests/oracle/, which shares none
+// of its machinery (binding-tuple memoization, fingerprint-shared answer
+// assembly, the c-block fast path, the arena, cancellation); the
+// differential suites hold both algorithms bit-identical to it.
 //
 // Arena lifetime: the caller Resets the arena before each evaluation
 // (plan/driver.cc does); everything allocated during the call dies at
@@ -70,6 +73,11 @@ struct KernelCancelContext {
 
 /// Algorithm 3 (query_basic) over the flat index: rewrite + match
 /// independently per (mapping, embedding), answers unioned per mapping.
+/// `relevant` is the mapping selection (ascending ids) and `embeddings`
+/// the twig's schema embeddings, both from the plan; '/' and '//' edges
+/// are both matched as ancestor-descendant. The kernel reads no field of
+/// `options` (top_k and max_embeddings are applied upstream, by the plan
+/// and its compiler); the parameter is kept for existing callers.
 Result<PtqResult> EvaluateBasicFlat(
     const TwigQuery& query,
     const std::vector<std::vector<SchemaNodeId>>& embeddings,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "blocktree/flat_block_tree.h"
 #include "common/logging.h"
-#include "query/flat_kernel.h"
 
 namespace uxm {
 
@@ -163,75 +161,6 @@ std::vector<MappingId> FilterRelevantMappings(
     std::sort(relevant.begin(), relevant.end());
   }
   return relevant;
-}
-
-std::vector<MappingId> PtqEvaluator::FilterMappings(
-    const TwigQuery& query,
-    const std::vector<std::vector<SchemaNodeId>>& embeddings,
-    int top_k) const {
-  (void)query;
-  return FilterRelevantMappings(*mappings_, embeddings, top_k);
-}
-
-std::shared_ptr<const FlatPairIndex> PtqEvaluator::FlatIndexFor(
-    const BlockTree* tree) const {
-  std::lock_guard<std::mutex> lock(flat_mu_);
-  for (const auto& [key, index] : flat_cache_) {
-    if (key == tree) return index;
-  }
-  auto index = std::make_shared<const FlatPairIndex>(
-      BuildFlatPairIndex(*mappings_, tree));
-  flat_cache_.emplace_back(tree, index);
-  return index;
-}
-
-Result<PtqResult> PtqEvaluator::EvaluateBasic(const TwigQuery& query,
-                                              const PtqOptions& options) const {
-  if (query.size() == 0) return Status::InvalidArgument("empty query");
-  bool truncated = false;
-  const auto embeddings = EmbedQueryInSchema(
-      query, mappings_->target(), options.max_embeddings, &truncated);
-  const std::vector<MappingId> relevant =
-      FilterRelevantMappings(*mappings_, embeddings, options.top_k);
-  return EvaluateBasicPrepared(query, embeddings, relevant, truncated,
-                               options);
-}
-
-Result<PtqResult> PtqEvaluator::EvaluateBasicPrepared(
-    const TwigQuery& query,
-    const std::vector<std::vector<SchemaNodeId>>& embeddings,
-    const std::vector<MappingId>& relevant, bool truncated,
-    const PtqOptions& options) const {
-  if (query.size() == 0) return Status::InvalidArgument("empty query");
-  MonotonicScratch* arena = ThreadLocalScratch();
-  arena->Reset();
-  return EvaluateBasicFlat(query, embeddings, relevant, truncated,
-                           *FlatIndexFor(nullptr), *doc_, options, arena);
-}
-
-Result<PtqResult> PtqEvaluator::EvaluateWithBlockTree(
-    const TwigQuery& query, const BlockTree& tree,
-    const PtqOptions& options) const {
-  if (query.size() == 0) return Status::InvalidArgument("empty query");
-  bool truncated = false;
-  const auto embeddings = EmbedQueryInSchema(
-      query, mappings_->target(), options.max_embeddings, &truncated);
-  const std::vector<MappingId> relevant =
-      FilterRelevantMappings(*mappings_, embeddings, options.top_k);
-  return EvaluateTreePrepared(query, embeddings, relevant, truncated, tree,
-                              options);
-}
-
-Result<PtqResult> PtqEvaluator::EvaluateTreePrepared(
-    const TwigQuery& query,
-    const std::vector<std::vector<SchemaNodeId>>& embeddings,
-    const std::vector<MappingId>& relevant, bool truncated,
-    const BlockTree& tree, const PtqOptions& options) const {
-  if (query.size() == 0) return Status::InvalidArgument("empty query");
-  MonotonicScratch* arena = ThreadLocalScratch();
-  arena->Reset();
-  return EvaluateTreeFlat(query, embeddings, relevant, truncated,
-                          *FlatIndexFor(&tree), *doc_, options, arena);
 }
 
 }  // namespace uxm

@@ -4,15 +4,16 @@
 //
 //   R = { (R_i, p_i) : m_i relevant }        (Definition 4)
 //
-// Three evaluators are provided:
-//   - EvaluateBasic        — Algorithm 3 (query_basic): rewrite + match
-//     independently per mapping;
-//   - EvaluateWithBlockTree — Algorithm 4 (twig_query_tree): subqueries
-//     anchored at block-tree nodes are evaluated once per c-block and the
-//     result replicated to every mapping sharing the block; elsewhere the
-//     query is split and recombined with stack-based structural joins;
-//   - top-k PTQ            — §IV-C: restrict to the k most probable
-//     relevant mappings before evaluation.
+// This header holds the answer types and the schema-level steps every
+// evaluation starts from: embedding the twig into T and the relevance
+// filter of Algorithms 3/4 (filter_mappings), with the §IV-C top-k
+// restriction. Evaluation itself runs through one front-end,
+// ExecutionDriver::Execute (plan/driver.h), over the flat kernel
+// (query/flat_kernel.h): use_block_tree selects Algorithm 4
+// (twig_query_tree) or Algorithm 3 (query_basic), and options.top_k the
+// top-k PTQ. FilterRelevantMappings is the eager form of the selection
+// the plan layer performs lazily; tests and benches use it as the
+// reference the early-terminating selection must equal.
 //
 // Query-to-schema resolution: a twig's labels may occur at several places
 // in T (e.g. ContactName in Figure 1), so the query is first *embedded*
@@ -23,21 +24,13 @@
 #ifndef UXM_QUERY_PTQ_H_
 #define UXM_QUERY_PTQ_H_
 
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
-#include "blocktree/block_tree.h"
-#include "common/status.h"
 #include "mapping/possible_mapping.h"
 #include "query/annotated_document.h"
-#include "query/twig_matcher.h"
 #include "query/twig_query.h"
 
 namespace uxm {
-
-struct FlatPairIndex;
 
 /// \brief Answer for one mapping: (R_i, p_i).
 ///
@@ -76,7 +69,6 @@ struct PtqOptions {
   int top_k = 0;
   /// Cap on schema embeddings considered per query (0 = unlimited).
   size_t max_embeddings = 256;
-  TwigMatchOptions match;
 };
 
 /// \brief Embeds a twig query into a schema: every assignment of schema
@@ -90,10 +82,9 @@ std::vector<std::vector<SchemaNodeId>> EmbedQueryInSchema(
     bool* truncated = nullptr);
 
 /// \brief The per-mapping relevance predicate: true iff some embedding
-/// is fully mapped under `m`. The ONE definition shared by
-/// FilterRelevantMappings and the plan layer's lazy memo
-/// (plan/query_plan.h) — their exact agreement is what makes
-/// early-termination top-k exact.
+/// is fully mapped under `m`. FilterRelevantMappings runs it; the plan
+/// layer's lazy memo (plan/query_plan.h) runs its flat twin IsRowRelevant
+/// — their exact agreement is what makes early-termination top-k exact.
 bool IsMappingRelevant(
     const PossibleMapping& m,
     const std::vector<std::vector<SchemaNodeId>>& embeddings);
@@ -112,72 +103,6 @@ void SortByProbabilityDescending(const PossibleMappingSet& mappings,
 std::vector<MappingId> FilterRelevantMappings(
     const PossibleMappingSet& mappings,
     const std::vector<std::vector<SchemaNodeId>>& embeddings, int top_k);
-
-/// \brief PTQ evaluator over a fixed (mapping set, document) pair.
-///
-/// A convenience front-end for callers that hold build-time products
-/// (PossibleMappingSet + BlockTree) rather than a prepared pair: it
-/// flattens them into a FlatPairIndex on first use (memoized per tree)
-/// and evaluates through the one flat kernel (query/flat_kernel.h) that
-/// also serves the execution driver — there is no second evaluation
-/// code path to drift from it.
-class PtqEvaluator {
- public:
-  /// `mappings` relates S and T; `doc` must be annotated against S.
-  PtqEvaluator(const PossibleMappingSet* mappings,
-               const AnnotatedDocument* doc)
-      : mappings_(mappings), doc_(doc) {}
-
-  /// Algorithm 3 (query_basic).
-  Result<PtqResult> EvaluateBasic(const TwigQuery& query,
-                                  const PtqOptions& options = {}) const;
-
-  /// Algorithm 4 (twig_query_tree). `tree` must be built from the same
-  /// mapping set. Produces exactly the same answers as EvaluateBasic.
-  Result<PtqResult> EvaluateWithBlockTree(const TwigQuery& query,
-                                          const BlockTree& tree,
-                                          const PtqOptions& options = {}) const;
-
-  /// Algorithm 3 with precompiled inputs: `embeddings` and `relevant` as
-  /// produced by EmbedQueryInSchema / FilterRelevantMappings (or a
-  /// plan/query_plan.h QueryPlan), so nothing is re-derived per call.
-  /// `truncated` is carried into the result's truncated_embeddings.
-  Result<PtqResult> EvaluateBasicPrepared(
-      const TwigQuery& query,
-      const std::vector<std::vector<SchemaNodeId>>& embeddings,
-      const std::vector<MappingId>& relevant, bool truncated,
-      const PtqOptions& options = {}) const;
-
-  /// Algorithm 4 with precompiled inputs (see EvaluateBasicPrepared).
-  Result<PtqResult> EvaluateTreePrepared(
-      const TwigQuery& query,
-      const std::vector<std::vector<SchemaNodeId>>& embeddings,
-      const std::vector<MappingId>& relevant, bool truncated,
-      const BlockTree& tree, const PtqOptions& options = {}) const;
-
-  /// filter_mappings (+ the top-k restriction of §IV-C): delegates to
-  /// FilterRelevantMappings — ids ascending, restricted to the k most
-  /// probable when top_k > 0.
-  std::vector<MappingId> FilterMappings(
-      const TwigQuery& query,
-      const std::vector<std::vector<SchemaNodeId>>& embeddings,
-      int top_k) const;
-
- private:
-  /// The memoized flat index for `tree` (null = Algorithm-3-only index),
-  /// built on first use. Benches call Evaluate* in hot loops with one
-  /// evaluator and one tree, so flattening must not recur per call.
-  std::shared_ptr<const FlatPairIndex> FlatIndexFor(
-      const BlockTree* tree) const;
-
-  const PossibleMappingSet* mappings_;
-  const AnnotatedDocument* doc_;
-
-  mutable std::mutex flat_mu_;
-  mutable std::vector<std::pair<const BlockTree*,
-                                std::shared_ptr<const FlatPairIndex>>>
-      flat_cache_;
-};
 
 }  // namespace uxm
 

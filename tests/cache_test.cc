@@ -743,7 +743,9 @@ TEST(SharedEmbeddingCacheTest, PairsOverOneTargetShareEmbeddings) {
 // pair_evictions() counts every eviction.
 class PairLruTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  // The three datasets (one matcher run each) and the D7 document are
+  // built once per suite; every test builds its own systems over them.
+  static void SetUpTestSuite() {
     for (const char* id : {"D7", "D1", "D6"}) {
       auto d = LoadDataset(id);
       ASSERT_TRUE(d.ok()) << id << ": " << d.status();
@@ -752,6 +754,13 @@ class PairLruTest : public ::testing::Test {
     doc7_ = std::make_unique<Document>(GenerateDocument(
         *datasets_[0]->source, DocGenOptions{.seed = 3, .target_nodes = 100}));
   }
+
+  static void TearDownTestSuite() {
+    doc7_.reset();
+    datasets_.clear();
+  }
+
+  void SetUp() override { ASSERT_NE(doc7_, nullptr); }
 
   SystemOptions Options(size_t max_pairs) const {
     SystemOptions opts;
@@ -769,9 +778,12 @@ class PairLruTest : public ::testing::Test {
                              datasets_[i]->target.get()) != nullptr;
   }
 
-  std::vector<std::unique_ptr<Dataset>> datasets_;
-  std::unique_ptr<Document> doc7_;
+  static std::vector<std::unique_ptr<Dataset>> datasets_;
+  static std::unique_ptr<Document> doc7_;
 };
+
+std::vector<std::unique_ptr<Dataset>> PairLruTest::datasets_;
+std::unique_ptr<Document> PairLruTest::doc7_;
 
 TEST_F(PairLruTest, CapEvictsLeastRecentlyQueriedAndDropsItsDocuments) {
   UncertainMatchingSystem sys(Options(2));

@@ -32,12 +32,10 @@ TEST(EndToEndTest, XmlRoundTripPreservesPtqAnswers) {
   ASSERT_TRUE(ad1.ok());
   ASSERT_TRUE(ad2.ok());
 
-  auto q = TwigQuery::Parse(TableIIIQueries()[4]);
-  ASSERT_TRUE(q.ok());
-  PtqEvaluator e1(&*mappings, &*ad1);
-  PtqEvaluator e2(&*mappings, &*ad2);
-  auto r1 = e1.EvaluateBasic(*q);
-  auto r2 = e2.EvaluateBasic(*q);
+  const auto pair = testutil::MakePairFromMappings(*mappings);
+  const std::string& twig = TableIIIQueries()[4];
+  auto r1 = testutil::DrivePtq(*pair, *ad1, twig, 0, /*use_block_tree=*/false);
+  auto r2 = testutil::DrivePtq(*pair, *ad2, twig, 0, /*use_block_tree=*/false);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r1->answers.size(), r2->answers.size());
@@ -87,12 +85,19 @@ TEST(EndToEndTest, PipelineIsDeterministic) {
     EXPECT_TRUE(sys.Prepare(source.get(), target.get()).ok());
     auto pair = sys.prepared_pair();
     EXPECT_NE(pair, nullptr);
+    // The pair's flat index: every mapping row, its probability, and the
+    // block count.
+    const FlatMappingTable& mappings = pair->flat->mappings;
     std::string fingerprint;
-    for (int i = 0; i < pair->mappings.size(); ++i) {
-      fingerprint += pair->mappings.MappingToString(i);
-      fingerprint += FormatDouble(pair->mappings.mapping(i).probability, 9);
+    for (MappingId i = 0; i < static_cast<MappingId>(mappings.num_mappings);
+         ++i) {
+      for (uint32_t t = 0; t < mappings.num_targets; ++t) {
+        fingerprint += std::to_string(mappings.Row(i)[t]) + ",";
+      }
+      fingerprint +=
+          FormatDouble(mappings.probability[static_cast<size_t>(i)], 9);
     }
-    fingerprint += std::to_string(pair->tree().TotalBlocks());
+    fingerprint += std::to_string(pair->flat->tree.num_blocks());
     return fingerprint;
   };
   EXPECT_EQ(run(), run());
@@ -113,23 +118,17 @@ TEST(EndToEndTest, TopKPtqIsPrefixOfFullPtqByProbability) {
                                   DocGenOptions{.seed = 3, .target_nodes = 1500});
   auto ad = AnnotatedDocument::Bind(&doc, dataset->source.get());
   ASSERT_TRUE(ad.ok());
-  BlockTreeBuilder builder(BlockTreeOptions{0.2, 500, 500});
-  auto built = builder.Build(*mappings);
-  ASSERT_TRUE(built.ok());
+  const auto pair = testutil::MakePairFromMappings(*mappings);
 
-  PtqEvaluator eval(&*mappings, &*ad);
-  auto q = TwigQuery::Parse("ORDER//CONTACT_NAME");
-  ASSERT_TRUE(q.ok());
-  auto full = eval.EvaluateWithBlockTree(*q, built->tree);
+  const std::string twig = "ORDER//CONTACT_NAME";
+  auto full = testutil::DrivePtq(*pair, *ad, twig);
   ASSERT_TRUE(full.ok());
   std::vector<double> probs;
   for (const auto& a : full->answers) probs.push_back(a.probability);
   std::sort(probs.begin(), probs.end(), std::greater<>());
 
   for (int k : {1, 3, 7, 1000}) {
-    PtqOptions opts;
-    opts.top_k = k;
-    auto topk = eval.EvaluateWithBlockTree(*q, built->tree, opts);
+    auto topk = testutil::DrivePtq(*pair, *ad, twig, k);
     ASSERT_TRUE(topk.ok());
     const size_t expect =
         std::min<size_t>(probs.size(), static_cast<size_t>(k));

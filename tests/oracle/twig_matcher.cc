@@ -1,4 +1,4 @@
-#include "query/twig_matcher.h"
+#include "tests/oracle/twig_matcher.h"
 
 #include <algorithm>
 

@@ -1,10 +1,16 @@
-// Twig pattern matching against an annotated document. A query whose
-// nodes are *bound* to source schema elements (the output of rewriting a
-// target query through a mapping) is matched by enumerating all node
-// tuples satisfying labels, predicates, and the '/'/'//' structural
-// relationships — the "match" of §IV-A.
-#ifndef UXM_QUERY_TWIG_MATCHER_H_
-#define UXM_QUERY_TWIG_MATCHER_H_
+// Twig pattern matching against an annotated document — the test
+// oracle's matcher. A query whose nodes are *bound* to source schema
+// elements (the output of rewriting a target query through a mapping) is
+// matched by enumerating all node tuples satisfying labels, predicates,
+// and the '/'/'//' structural relationships — the "match" of §IV-A.
+//
+// This is deliberately the plain, allocation-happy formulation: vectors
+// per query node, no arena, no memoization across mappings. The library's
+// flat kernel (src/query/flat_kernel.h) computes the same projected
+// matches its own way; naive_ptq.h builds Definition 4 on MatchProjected
+// so the two can be compared.
+#ifndef UXM_TESTS_ORACLE_TWIG_MATCHER_H_
+#define UXM_TESTS_ORACLE_TWIG_MATCHER_H_
 
 #include <vector>
 
@@ -27,9 +33,9 @@ struct TwigMatchOptions {
   /// differs from the target schema's: a '/' edge in the target query
   /// generally corresponds to a longer downward path in the source (the
   /// constraint-based rewriting of [2] inserts the intermediate steps).
-  /// When true (the default, used by PTQ evaluation), '/' edges are
-  /// therefore matched as ancestor-descendant. Set to false to match a
-  /// twig with strict parent-child semantics on its own schema.
+  /// When true (the default, and the library kernel's only semantics),
+  /// '/' edges are therefore matched as ancestor-descendant. Set to false
+  /// to match a twig with strict parent-child semantics on its own schema.
   bool relax_child_axis = true;
 };
 
@@ -67,9 +73,10 @@ class TwigMatcher {
   };
 
   /// Matches the subquery rooted at `q_root` under output-node semantics.
-  /// This is the evaluation primitive used by PTQ (Definition 4's answers
-  /// projected to the query's distinguished node); it avoids enumerating
-  /// full node tuples and is therefore immune to cross-product blowup.
+  /// This is the evaluation primitive of the naive PTQ oracle (Definition
+  /// 4's answers projected to the query's distinguished node); it avoids
+  /// enumerating full node tuples and is therefore immune to
+  /// cross-product blowup.
   ProjectedMatches MatchProjected(const TwigQuery& query,
                                   const std::vector<SchemaNodeId>& binding,
                                   int q_root = 0) const;
@@ -88,4 +95,4 @@ void SortAndDedupeMatches(std::vector<TwigMatch>* matches);
 
 }  // namespace uxm
 
-#endif  // UXM_QUERY_TWIG_MATCHER_H_
+#endif  // UXM_TESTS_ORACLE_TWIG_MATCHER_H_

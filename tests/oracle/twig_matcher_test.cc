@@ -1,6 +1,6 @@
 // Twig matcher tests: tuple enumeration, projected semantics, axis
 // strictness, value predicates, and a brute-force cross-check.
-#include "query/twig_matcher.h"
+#include "tests/oracle/twig_matcher.h"
 
 #include <gtest/gtest.h>
 

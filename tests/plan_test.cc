@@ -15,6 +15,7 @@
 #include "plan/prepared_pair.h"
 #include "query/annotated_document.h"
 #include "query/ptq.h"
+#include "tests/oracle/naive_ptq.h"
 #include "tests/test_util.h"
 
 namespace uxm {
@@ -156,11 +157,12 @@ TEST(SchemaPairRegistryTest, RemoveUnregistersAndSweepsEmbeddings) {
   SchemaPairRegistry registry;
   auto p1 = MakePreparedSchemaPairFromProducts(
       SchemaMatching(ex.source.get(), ex.target.get()), ex.mappings,
-      BlockTreeBuilder({0.2, 500, 500}).Build(ex.mappings).ValueOrDie(), 256,
+      BlockTreeBuilder({0.2, 500, 500}).Build(ex.mappings).ValueOrDie().tree,
+      256,
       registry.embedding_cache());
   auto p2 = MakePreparedSchemaPairFromProducts(
       SchemaMatching(other.source.get(), other.target.get()), other.mappings,
-      BlockTreeBuilder({0.2, 500, 500}).Build(other.mappings).ValueOrDie(),
+      BlockTreeBuilder({0.2, 500, 500}).Build(other.mappings).ValueOrDie().tree,
       256, registry.embedding_cache());
   registry.Install(p1);
   registry.Install(p2);
@@ -221,17 +223,16 @@ TEST_F(DriverTest, MatchesDirectEvaluation) {
   EXPECT_FALSE(counters.result_hit);
   EXPECT_FALSE(counters.result_miss);  // no cache bound
 
-  PtqEvaluator eval(&pair_->mappings, annotated_.get());
+  // The direct evaluation is the naive Definition-4 oracle.
   auto q = TwigQuery::Parse(twig);
   ASSERT_TRUE(q.ok());
-  auto direct = eval.EvaluateWithBlockTree(*q, pair_->tree());
-  ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(driven->answers.size(), direct->answers.size());
-  for (size_t i = 0; i < direct->answers.size(); ++i) {
-    EXPECT_EQ(driven->answers[i].mapping, direct->answers[i].mapping);
+  const PtqResult direct = oracle::NaivePtq(ex_.mappings, *annotated_, *q);
+  ASSERT_EQ(driven->answers.size(), direct.answers.size());
+  for (size_t i = 0; i < direct.answers.size(); ++i) {
+    EXPECT_EQ(driven->answers[i].mapping, direct.answers[i].mapping);
     EXPECT_DOUBLE_EQ(driven->answers[i].probability,
-                     direct->answers[i].probability);
-    EXPECT_EQ(driven->answers[i].matches, direct->answers[i].matches);
+                     direct.answers[i].probability);
+    EXPECT_EQ(driven->answers[i].matches, direct.answers[i].matches);
   }
   // The second execution reuses the cached plan.
   auto again = ExecutionDriver::Execute(Request(twig), &counters);

@@ -1,14 +1,16 @@
 // PTQ evaluation tests: the paper's introduction example end-to-end, the
-// basic ≡ block-tree equivalence property on real datasets, top-k
-// semantics, and embedding/rewriting edge cases.
+// basic ≡ block-tree ≡ naive-oracle equivalence on real datasets, top-k
+// semantics, and embedding/rewriting edge cases. Evaluation runs through
+// the one front-end, ExecutionDriver::Execute (Algorithm 3 with
+// use_block_tree = false, Algorithm 4 with true).
 #include "query/ptq.h"
 
 #include <map>
 
 #include <gtest/gtest.h>
 
-#include "blocktree/block_tree.h"
 #include "mapping/top_h.h"
+#include "tests/oracle/naive_ptq.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "workload/document_generator.h"
@@ -16,6 +18,8 @@
 namespace uxm {
 namespace {
 
+using testutil::DrivePtq;
+using testutil::MakePairFromMappings;
 using testutil::MakePaperExample;
 using testutil::PaperExample;
 
@@ -26,10 +30,14 @@ class PaperPtqTest : public ::testing::Test {
     auto ad = AnnotatedDocument::Bind(ex_.doc.get(), ex_.source.get());
     ASSERT_TRUE(ad.ok()) << ad.status();
     annotated_ = std::make_unique<AnnotatedDocument>(std::move(ad).ValueOrDie());
-    BlockTreeBuilder builder(BlockTreeOptions{0.4, 500, 500});
-    auto built = builder.Build(ex_.mappings);
-    ASSERT_TRUE(built.ok());
-    built_ = std::move(built).ValueOrDie();
+  }
+
+  /// Runs `twig` over the example's current mappings (block tree at
+  /// tau = 0.4): Algorithm 4 when `use_block_tree`, else Algorithm 3.
+  Result<PtqResult> Run(const std::string& twig, int top_k = 0,
+                        bool use_block_tree = false) {
+    return DrivePtq(*MakePairFromMappings(ex_.mappings, 0.4), *annotated_,
+                    twig, top_k, use_block_tree);
   }
 
   /// Maps answer text values to aggregated probability.
@@ -49,7 +57,6 @@ class PaperPtqTest : public ::testing::Test {
 
   PaperExample ex_;
   std::unique_ptr<AnnotatedDocument> annotated_;
-  BlockTreeBuildResult built_;
 };
 
 TEST_F(PaperPtqTest, IntroExampleQuery) {
@@ -57,10 +64,7 @@ TEST_F(PaperPtqTest, IntroExampleQuery) {
   // m1, m2: ICN ~ BCN under BP ~ IP -> "Cathy" (mass 0.4)
   // m3: IP ~ SSP but RCN is not under SSP -> empty (mass 0.2)
   // m4: ICN ~ RCN -> "Bob" (0.2); m5: ICN ~ OCN -> "Alice" (0.2)
-  auto q = TwigQuery::Parse("//IP//ICN");
-  ASSERT_TRUE(q.ok()) << q.status();
-  PtqEvaluator eval(&ex_.mappings, annotated_.get());
-  auto r = eval.EvaluateBasic(*q);
+  auto r = Run("//IP//ICN");
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->answers.size(), 5u);  // all mappings map IP and ICN
   const auto dist = ValueDistribution(*r);
@@ -72,11 +76,8 @@ TEST_F(PaperPtqTest, IntroExampleQuery) {
 }
 
 TEST_F(PaperPtqTest, BlockTreeAgreesOnIntroExample) {
-  auto q = TwigQuery::Parse("//IP//ICN");
-  ASSERT_TRUE(q.ok());
-  PtqEvaluator eval(&ex_.mappings, annotated_.get());
-  auto basic = eval.EvaluateBasic(*q);
-  auto tree = eval.EvaluateWithBlockTree(*q, built_.tree);
+  auto basic = Run("//IP//ICN", 0, /*use_block_tree=*/false);
+  auto tree = Run("//IP//ICN", 0, /*use_block_tree=*/true);
   ASSERT_TRUE(basic.ok());
   ASSERT_TRUE(tree.ok());
   ASSERT_EQ(basic->answers.size(), tree->answers.size());
@@ -91,9 +92,8 @@ TEST_F(PaperPtqTest, FilterMappingsDropsIrrelevant) {
   // relevance requires SP mapped -> only m3 (index 2).
   auto q = TwigQuery::Parse("//SP//SCN");
   ASSERT_TRUE(q.ok());
-  PtqEvaluator eval(&ex_.mappings, annotated_.get());
   const auto embeddings = EmbedQueryInSchema(*q, *ex_.target, 0);
-  const auto relevant = eval.FilterMappings(*q, embeddings, 0);
+  const auto relevant = FilterRelevantMappings(ex_.mappings, embeddings, 0);
   EXPECT_EQ(relevant, (std::vector<MappingId>{2}));
 }
 
@@ -106,29 +106,21 @@ TEST_F(PaperPtqTest, TopKRestrictsToMostProbable) {
   (*ms)[3].score = 2;
   (*ms)[4].score = 1;
   ex_.mappings.NormalizeProbabilities();
-  auto q = TwigQuery::Parse("//IP//ICN");
-  ASSERT_TRUE(q.ok());
-  PtqEvaluator eval(&ex_.mappings, annotated_.get());
-  PtqOptions opts;
-  opts.top_k = 2;
-  auto r = eval.EvaluateWithBlockTree(*q, built_.tree, opts);
+  auto r = Run("//IP//ICN", /*top_k=*/2, /*use_block_tree=*/true);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->answers.size(), 2u);
   EXPECT_EQ(r->answers[0].mapping, 0);
   EXPECT_EQ(r->answers[1].mapping, 1);
   // And the top-k answers agree with the full PTQ's answers for those
   // mappings (§IV-C's correctness argument).
-  auto full = eval.EvaluateBasic(*q);
+  auto full = Run("//IP//ICN");
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(r->answers[0].matches, full->answers[0].matches);
   EXPECT_EQ(r->answers[1].matches, full->answers[1].matches);
 }
 
 TEST_F(PaperPtqTest, ValuePredicateFiltersAnswers) {
-  auto q = TwigQuery::Parse("//IP//ICN=\"Bob\"");
-  ASSERT_TRUE(q.ok());
-  PtqEvaluator eval(&ex_.mappings, annotated_.get());
-  auto r = eval.EvaluateBasic(*q);
+  auto r = Run("//IP//ICN=\"Bob\"");
   ASSERT_TRUE(r.ok());
   const auto dist = ValueDistribution(*r);
   EXPECT_EQ(dist.count("Cathy"), 0u);
@@ -160,10 +152,7 @@ TEST_F(PaperPtqTest, EmbeddingAmbiguousLabels) {
 }
 
 TEST_F(PaperPtqTest, CollapseByMatchesAggregatesProbability) {
-  auto q = TwigQuery::Parse("//IP//ICN");
-  ASSERT_TRUE(q.ok());
-  PtqEvaluator eval(&ex_.mappings, annotated_.get());
-  auto r = eval.EvaluateBasic(*q);
+  auto r = Run("//IP//ICN");
   ASSERT_TRUE(r.ok());
   const auto collapsed = r->CollapseByMatches();
   // Cathy (m1+m2 = 0.4), Bob, Alice, empty -> 4 groups.
@@ -226,24 +215,18 @@ TEST_F(TruncatedEmbeddingsTest, EmbedReportsTruncation) {
 }
 
 TEST_F(TruncatedEmbeddingsTest, FlagSurfacesThroughBothEvaluators) {
-  auto q = TwigQuery::Parse("//X");
-  ASSERT_TRUE(q.ok());
-  PtqEvaluator eval(&mappings_, annotated_.get());
-  BlockTreeBuilder builder(BlockTreeOptions{0.2, 500, 500});
-  auto built = builder.Build(mappings_);
-  ASSERT_TRUE(built.ok());
-
-  PtqOptions capped;
-  capped.max_embeddings = 1;
-  auto basic = eval.EvaluateBasic(*q, capped);
+  const auto capped = MakePairFromMappings(mappings_, 0.2, 500,
+                                           /*max_embeddings=*/1);
+  auto basic = DrivePtq(*capped, *annotated_, "//X", 0, false);
   ASSERT_TRUE(basic.ok());
   EXPECT_TRUE(basic->truncated_embeddings);
-  auto tree = eval.EvaluateWithBlockTree(*q, built->tree, capped);
+  auto tree = DrivePtq(*capped, *annotated_, "//X", 0, true);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(tree->truncated_embeddings);
 
-  PtqOptions roomy;  // default 256 embeddings
-  auto complete = eval.EvaluateBasic(*q, roomy);
+  // Default cap: 256 embeddings.
+  auto complete = DrivePtq(*MakePairFromMappings(mappings_), *annotated_,
+                           "//X", 0, false);
   ASSERT_TRUE(complete.ok());
   EXPECT_FALSE(complete->truncated_embeddings);
 }
@@ -299,16 +282,11 @@ AnnotatedDocument* PtqEquivalenceTest::annotated_ = nullptr;
 
 TEST_P(PtqEquivalenceTest, BasicEqualsBlockTree) {
   const EquivalenceCase& c = GetParam();
-  auto q = TwigQuery::Parse(TableIIIQueries()[static_cast<size_t>(c.query_index)]);
-  ASSERT_TRUE(q.ok()) << q.status();
-  BlockTreeBuilder builder(
-      BlockTreeOptions{c.tau, c.max_blocks, 500});
-  auto built = builder.Build(*mappings_);
-  ASSERT_TRUE(built.ok());
-
-  PtqEvaluator eval(mappings_, annotated_);
-  auto basic = eval.EvaluateBasic(*q);
-  auto tree = eval.EvaluateWithBlockTree(*q, built->tree);
+  const std::string& twig =
+      TableIIIQueries()[static_cast<size_t>(c.query_index)];
+  const auto pair = MakePairFromMappings(*mappings_, c.tau, c.max_blocks);
+  auto basic = DrivePtq(*pair, *annotated_, twig, 0, false);
+  auto tree = DrivePtq(*pair, *annotated_, twig, 0, true);
   ASSERT_TRUE(basic.ok());
   ASSERT_TRUE(tree.ok());
   ASSERT_EQ(basic->answers.size(), tree->answers.size());
@@ -318,6 +296,11 @@ TEST_P(PtqEquivalenceTest, BasicEqualsBlockTree) {
         << "query Q" << c.query_index + 1 << " mapping "
         << basic->answers[i].mapping;
   }
+  // And both equal the naive Definition-4 evaluator.
+  auto q = TwigQuery::Parse(twig);
+  ASSERT_TRUE(q.ok()) << q.status();
+  testutil::ExpectSamePtq(*tree, oracle::NaivePtq(*mappings_, *annotated_, *q),
+                          "Q" + std::to_string(c.query_index + 1));
 }
 
 std::vector<EquivalenceCase> MakeEquivalenceCases() {

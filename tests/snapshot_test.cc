@@ -148,6 +148,12 @@ TEST_F(SnapshotTest, RoundTripIsBitIdentical) {
             original.prepared_pair()->source()->schema_name());
   EXPECT_NE(loaded.prepared_pair()->pair_id,
             original.prepared_pair()->pair_id);
+  // Built and loaded pairs have one shape: the same flat index.
+  EXPECT_EQ(loaded.prepared_pair()->flat->mappings.num_mappings,
+            original.prepared_pair()->flat->mappings.num_mappings);
+  EXPECT_EQ(loaded.prepared_pair()->flat->tree.num_blocks(),
+            original.prepared_pair()->flat->tree.num_blocks());
+  EXPECT_GT(original.prepared_pair()->flat->tree.num_blocks(), 0u);
 
   CorpusQueryOptions top10;
   top10.top_k = 10;

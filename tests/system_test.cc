@@ -60,8 +60,8 @@ TEST_F(SystemTest, FullPipeline) {
   // later Prepare (the old by-reference accessors did not).
   auto pair = sys.prepared_pair();
   ASSERT_NE(pair, nullptr);
-  EXPECT_EQ(pair->mappings.size(), 50);
-  EXPECT_GT(pair->tree().TotalBlocks(), 0);
+  EXPECT_EQ(pair->flat->mappings.num_mappings, 50u);
+  EXPECT_GT(pair->flat->tree.num_blocks(), 0u);
   EXPECT_EQ(sys.prepared_pair(dataset_->source.get(), dataset_->target.get()),
             pair);
   EXPECT_EQ(sys.pair_count(), 1u);

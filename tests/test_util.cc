@@ -2,8 +2,11 @@
 
 #include <utility>
 
+#include <gtest/gtest.h>
+
 #include "blocktree/block_tree.h"
 #include "common/logging.h"
+#include "plan/driver.h"
 
 namespace uxm {
 namespace testutil {
@@ -102,15 +105,47 @@ PossibleMapping MakeMapping(
   return m;
 }
 
-std::shared_ptr<const PreparedSchemaPair> MakePaperPair(
-    const PaperExample& ex, double tau) {
-  PossibleMappingSet mappings = ex.mappings;  // the pair owns its copy
-  BlockTreeBuilder builder(BlockTreeOptions{tau, 500, 500});
+std::shared_ptr<const PreparedSchemaPair> MakePairFromMappings(
+    const PossibleMappingSet& mappings, double tau, int max_blocks,
+    size_t max_embeddings) {
+  BlockTreeBuilder builder(BlockTreeOptions{tau, max_blocks, 500});
   auto built = builder.Build(mappings);
   UXM_CHECK_MSG(built.ok(), built.status().ToString());
   return MakePreparedSchemaPairFromProducts(
-      SchemaMatching(ex.source.get(), ex.target.get()), std::move(mappings),
-      std::move(built).ValueOrDie());
+      SchemaMatching(&mappings.source(), &mappings.target()), mappings,
+      built->tree, max_embeddings);
+}
+
+std::shared_ptr<const PreparedSchemaPair> MakePaperPair(
+    const PaperExample& ex, double tau) {
+  return MakePairFromMappings(ex.mappings, tau);
+}
+
+Result<PtqResult> DrivePtq(const PreparedSchemaPair& pair,
+                           const AnnotatedDocument& doc,
+                           const std::string& twig, int top_k,
+                           bool use_block_tree) {
+  DriverRequest request;
+  request.pair = &pair;
+  request.doc = &doc;
+  request.twig = &twig;
+  request.options.top_k = top_k;
+  request.use_block_tree = use_block_tree;
+  return ExecutionDriver::Execute(request);
+}
+
+void ExpectSamePtq(const PtqResult& got, const PtqResult& want,
+                   const std::string& context) {
+  EXPECT_EQ(got.truncated_embeddings, want.truncated_embeddings) << context;
+  ASSERT_EQ(got.answers.size(), want.answers.size()) << context;
+  for (size_t i = 0; i < want.answers.size(); ++i) {
+    EXPECT_EQ(got.answers[i].mapping, want.answers[i].mapping)
+        << context << " answer " << i;
+    EXPECT_EQ(got.answers[i].probability, want.answers[i].probability)
+        << context << " answer " << i;
+    EXPECT_EQ(got.answers[i].matches, want.answers[i].matches)
+        << context << " answer " << i;
+  }
 }
 
 }  // namespace testutil

@@ -7,8 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "mapping/possible_mapping.h"
 #include "plan/prepared_pair.h"
+#include "query/annotated_document.h"
+#include "query/ptq.h"
 #include "xml/document.h"
 #include "xml/schema.h"
 
@@ -56,13 +59,32 @@ PossibleMapping MakeMapping(
     const std::vector<std::pair<SchemaNodeId, SchemaNodeId>>& target_source,
     double score = 1.0);
 
-/// A PreparedSchemaPair over the example's five mappings (block tree
-/// built with threshold `tau`), for driving the plan/driver/executor
+/// A PreparedSchemaPair over `mappings` (block tree built with threshold
+/// `tau` and block cap `max_blocks`), for driving the plan/driver/executor
 /// layers without the facade. The matching carries only the schema
 /// identities — tests that care about matching contents build their own.
-/// The example must outlive the returned pair.
+/// The mapping set's schemas must outlive the returned pair.
+std::shared_ptr<const PreparedSchemaPair> MakePairFromMappings(
+    const PossibleMappingSet& mappings, double tau = 0.2,
+    int max_blocks = 500, size_t max_embeddings = 256);
+
+/// MakePairFromMappings over the example's five mappings.
 std::shared_ptr<const PreparedSchemaPair> MakePaperPair(
     const PaperExample& ex, double tau = 0.2);
+
+/// One uncached ExecutionDriver::Execute of `twig` against `doc` — the
+/// library's one PTQ front-end: Algorithm 4 when `use_block_tree`, else
+/// Algorithm 3; top_k > 0 asks the §IV-C top-k PTQ.
+Result<PtqResult> DrivePtq(const PreparedSchemaPair& pair,
+                           const AnnotatedDocument& doc,
+                           const std::string& twig, int top_k = 0,
+                           bool use_block_tree = true);
+
+/// EXPECTs `got` and `want` identical: same answers in the same order,
+/// equal mapping ids, bit-identical probabilities and match lists, equal
+/// truncation flags. `context` prefixes every failure message.
+void ExpectSamePtq(const PtqResult& got, const PtqResult& want,
+                   const std::string& context = "");
 
 }  // namespace testutil
 }  // namespace uxm
