@@ -14,9 +14,11 @@ namespace uxm {
 
 UncertainMatchingSystem::UncertainMatchingSystem(SystemOptions options)
     : options_(std::move(options)),
-      result_cache_(std::make_shared<ResultCache>(ResultCacheOptions{
-          options_.cache.max_result_bytes, options_.cache.result_shards})),
-      store_(options_.corpus_shards) {}
+      result_cache_(std::make_shared<ResultCache>(
+          ResultCacheOptions{options_.cache.max_result_bytes})),
+      corpus_shards_(static_cast<size_t>(options_.corpus_shards > 0
+                                             ? options_.corpus_shards
+                                             : DefaultShardCount())) {}
 
 Status UncertainMatchingSystem::Prepare(const Schema* source,
                                         const Schema* target) {
@@ -277,11 +279,11 @@ Status UncertainMatchingSystem::RemoveDocument(const std::string& name) {
 size_t UncertainMatchingSystem::corpus_size() const { return store_.size(); }
 
 size_t UncertainMatchingSystem::corpus_shard_count() const {
-  return store_.num_shards();
+  return corpus_shards_;
 }
 
 size_t UncertainMatchingSystem::CorpusShardOf(const std::string& name) const {
-  return store_.ShardOf(name);
+  return ShardForDocument(name, corpus_shards_);
 }
 
 std::vector<std::string> UncertainMatchingSystem::CorpusDocumentNames() const {
@@ -309,7 +311,7 @@ Result<CorpusBatchResponse> UncertainMatchingSystem::RunCorpusBatch(
   // distinct one so the max_pairs LRU never evicts a pair that is still
   // serving corpus traffic.
   std::unordered_set<uint64_t> touched;
-  for (const CorpusDocument& entry : *session.corpus->all) {
+  for (const CorpusDocument& entry : *session.corpus) {
     if (entry.pair != nullptr && touched.insert(entry.pair->pair_id).second) {
       registry_.Touch(entry.pair->pair_id);
     }
@@ -322,8 +324,8 @@ Result<CorpusBatchResponse> UncertainMatchingSystem::RunCorpusBatch(
                              options_.cache.enable_bound_cache
                                  ? registry_.bound_cache().get()
                                  : nullptr,
-                             session.corpus->shards.size());
-  return corpus_exec.Run(*session.corpus->all, twigs, options, &cache_ctx);
+                             corpus_shards_);
+  return corpus_exec.Run(*session.corpus, twigs, options, &cache_ctx);
 }
 
 UncertainMatchingSystem::Session UncertainMatchingSystem::Snapshot(
@@ -498,10 +500,10 @@ Status UncertainMatchingSystem::SaveSnapshot(const std::string& path,
 Status UncertainMatchingSystem::SaveShardSnapshot(size_t shard,
                                                   const std::string& path,
                                                   SnapshotStats* stats) const {
-  if (shard >= store_.num_shards()) {
+  if (shard >= corpus_shards_) {
     return Status::InvalidArgument(
         "shard " + std::to_string(shard) + " out of range (corpus has " +
-        std::to_string(store_.num_shards()) + " shards)");
+        std::to_string(corpus_shards_) + " shards)");
   }
   return SaveSnapshotView(static_cast<int>(shard), path, stats);
 }
@@ -516,7 +518,7 @@ Status UncertainMatchingSystem::SaveSnapshotView(int shard,
   // WriteSnapshot call: a concurrent RemoveDocument/RemovePair publishes
   // a new corpus vector, and this reference is then the only thing
   // keeping the removed entries' owners alive.
-  std::shared_ptr<const ShardedCorpusSnapshot> corpus;
+  std::shared_ptr<const CorpusSnapshot> corpus;
   {
     // Capture pairs, corpus, and the default-pair choice under one lock
     // acquisition so the snapshot is a consistent instant of the system.
@@ -531,9 +533,11 @@ Status UncertainMatchingSystem::SaveSnapshotView(int shard,
     corpus = store_.Snapshot();
     // Every pair is always written (replicas must evaluate any shard's
     // documents); `shard` only narrows which documents go along.
-    const CorpusSnapshot& view =
-        shard < 0 ? *corpus->all : *corpus->shards[static_cast<size_t>(shard)];
-    for (const CorpusDocument& entry : view) {
+    for (const CorpusDocument& entry : *corpus) {
+      if (shard >= 0 && ShardForDocument(entry.name, corpus_shards_) !=
+                            static_cast<size_t>(shard)) {
+        continue;
+      }
       SnapshotDocInput doc;
       doc.name = entry.name;
       doc.doc = entry.doc;

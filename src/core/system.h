@@ -66,7 +66,6 @@
 #include "corpus/corpus_executor.h"
 #include "corpus/document_store.h"
 #include "exec/batch_executor.h"
-#include "shard/sharded_store.h"
 #include "mapping/top_h.h"
 #include "matching/matcher.h"
 #include "plan/prepared_pair.h"
@@ -81,11 +80,10 @@ struct CacheOptions {
   /// — it holds no answers and its memory is bounded by its own
   /// generational entry cap (see cache/query_compiler.h).
   bool enable_result_cache = true;
-  /// Byte budget for cached answers, split evenly across shards; least
-  /// recently used entries are evicted beyond it.
+  /// Byte budget for cached answers, split evenly across the result
+  /// cache's mutex stripes; least recently used entries are evicted
+  /// beyond it.
   size_t max_result_bytes = size_t{64} << 20;
-  /// Mutex stripes of the result cache (clamped to >= 1).
-  int result_shards = 16;
   /// Master switch for the per-(twig, document) answer-bound cache the
   /// bounded corpus scheduler consults (cache/bound_cache.h). Off, every
   /// bounded run recomputes its probe bounds and forgets its realized
@@ -113,13 +111,15 @@ struct SystemOptions {
   BlockTreeOptions block_tree;
   PtqOptions ptq;
   CacheOptions cache;
-  /// Corpus shard count for in-process scatter-gather corpus serving
-  /// (src/shard/): documents partition across this many per-shard
-  /// stores by stable name hash, and bounded corpus batches run one TA
-  /// scheduler per shard against shared per-twig thresholds. <= 0
-  /// selects min(usable CPUs, 8). 1 runs one scheduler over the whole
-  /// corpus on the calling thread. Answers are bit-identical for every
-  /// value.
+  /// Corpus shard count for in-process scatter-gather corpus serving:
+  /// bounded corpus batches slice their selection into this many parts
+  /// by stable name hash (ShardForDocument, corpus/corpus_executor.h)
+  /// and run one TA scheduler per non-empty slice against shared
+  /// per-twig thresholds; SaveShardSnapshot exports one slice. The
+  /// corpus itself is one registry either way. <= 0 selects
+  /// DefaultShardCount(), min(usable CPUs, 8); 1 runs one scheduler over
+  /// the whole corpus on the calling thread. Answers are bit-identical
+  /// for every value.
   int corpus_shards = 0;
 };
 
@@ -281,10 +281,10 @@ class UncertainMatchingSystem {
   size_t corpus_size() const;
   std::vector<std::string> CorpusDocumentNames() const;
 
-  /// Corpus shard layout (see SystemOptions::corpus_shards): the shard
-  /// count this system partitions with, and the shard a given document
-  /// name is (or would be) routed to — deterministic, exposed for tests
-  /// and for clients that co-locate requests with shards.
+  /// Corpus shard layout (see SystemOptions::corpus_shards): the slice
+  /// count corpus runs scatter over, and the slice a given document name
+  /// falls in (ShardForDocument) — deterministic, exposed for tests and
+  /// for clients that co-locate requests with shards.
   size_t corpus_shard_count() const;
   size_t CorpusShardOf(const std::string& name) const;
 
@@ -371,7 +371,7 @@ class UncertainMatchingSystem {
   struct Session {
     std::shared_ptr<const PreparedSchemaPair> pair;
     std::shared_ptr<const AnnotatedDocument> annotated;
-    std::shared_ptr<const ShardedCorpusSnapshot> corpus;
+    std::shared_ptr<const CorpusSnapshot> corpus;
     uint64_t epoch = 0;
     std::shared_ptr<BatchQueryExecutor> executor;
     /// Any pair registered at capture time (corpus queries only need
@@ -399,7 +399,7 @@ class UncertainMatchingSystem {
       const PreparedSchemaPair* keep,
       std::vector<std::shared_ptr<const PreparedSchemaPair>>* evicted);
 
-  /// Shared body of SaveSnapshot (shard < 0: the merged corpus) and
+  /// Shared body of SaveSnapshot (shard < 0: the whole corpus) and
   /// SaveShardSnapshot (shard s's slice only; always every pair).
   Status SaveSnapshotView(int shard, const std::string& path,
                           SnapshotStats* stats) const;
@@ -422,12 +422,15 @@ class UncertainMatchingSystem {
   std::shared_ptr<const PreparedSchemaPair> default_pair_;  // null until
                                                             // Prepare
   std::shared_ptr<const AnnotatedDocument> annotated_;  // null until Attach
-  /// Named corpus documents, partitioned across
-  /// SystemOptions::corpus_shards per-shard stores by stable name hash
-  /// (src/shard/sharded_store.h). Internally synchronized, but every
-  /// mutation additionally happens under state_mu_ so registration
-  /// epochs and schema checks stay atomic with Prepare/AttachDocument.
-  ShardedDocumentStore store_;
+  /// Named corpus documents, one name-sorted registry. Internally
+  /// synchronized, but every mutation additionally happens under
+  /// state_mu_ so registration epochs and schema checks stay atomic with
+  /// Prepare/AttachDocument.
+  DocumentStore store_;
+  /// SystemOptions::corpus_shards resolved once (<= 0 ->
+  /// DefaultShardCount()): the slice count corpus runs scatter over and
+  /// SaveShardSnapshot partitions by. Never 0.
+  size_t corpus_shards_;
   /// One monotone counter hands out every epoch value, so no two cache
   /// stamps ever collide: epoch_ advances on every swap AND every corpus
   /// registration. The single-document session epoch (doc_epoch_, used

@@ -5,14 +5,23 @@
 #include <optional>
 #include <utility>
 
+#include "common/checksum.h"
 #include "common/timer.h"
 #include "corpus/bounded_scheduler.h"
 #include "corpus/run_budget.h"
 #include "exec/thread_pool.h"
 #include "plan/driver.h"
-#include "shard/sharded_store.h"
 
 namespace uxm {
+
+int DefaultShardCount() {
+  return std::min(ThreadPool::DefaultThreadCount(), 8);
+}
+
+size_t ShardForDocument(const std::string& name, size_t num_shards) {
+  if (num_shards <= 1) return 0;
+  return static_cast<size_t>(Fnv1a64(name.data(), name.size())) % num_shards;
+}
 
 bool AnswerBefore(const CorpusAnswer& a, const CorpusAnswer& b) {
   if (a.probability != b.probability) return a.probability > b.probability;

@@ -62,7 +62,7 @@
 // thread spawned.
 //
 //   scatter — the name-sorted selection is sliced by the stable name
-//     hash the sharded store routes with (ShardForDocument), ONE race
+//     hash ShardForDocument (FNV-1a-64 of the name modulo S), ONE race
 //     (tracker + threshold) is allocated per twig, and one scheduler
 //     runs per non-empty slice: the calling thread takes the first, a
 //     dedicated driver thread (ScopedThreads, never a pool task — see
@@ -274,6 +274,20 @@ struct CorpusBatchResponse {
   bool exact = true;
 };
 
+/// Default shard count: min(usable CPUs, 8), floor 1. Eight is where
+/// the scatter-gather win flattens for in-process serving — more shards
+/// mean more driver threads contending for the one evaluation pool
+/// without adding bound-phase parallelism.
+int DefaultShardCount();
+
+/// The slice a document lands in when a run scatters over `num_shards`
+/// schedulers: FNV-1a-64 of the document name modulo `num_shards`
+/// (clamped to >= 1). A pure function of the name — never of
+/// registration order, corpus size or pointer identity — so the same
+/// corpus always partitions the same way, across runs, processes and
+/// snapshot save/load (per-shard snapshot files rely on it).
+size_t ShardForDocument(const std::string& name, size_t num_shards);
+
 /// Global answer order: probability descending, then document name, then
 /// match list (both ascending) so equal-probability answers have one
 /// canonical ranking. Exposed for testing (CollapseForCorpus, MergeTopK
@@ -356,8 +370,9 @@ class CorpusExecutor {
   /// document-sensitive bound caching (probe bounds are then computed
   /// per run and realized bounds are not remembered). `num_shards` is
   /// the number of bounded schedulers a run scatters over (see file
-  /// comment; 0 counts as 1) — the facade passes its ShardedDocumentStore
-  /// layout, so each slice is exactly one shard's documents.
+  /// comment; 0 counts as 1) — the facade passes its resolved
+  /// SystemOptions::corpus_shards, so slice s holds exactly the documents
+  /// SaveShardSnapshot(s) exports.
   explicit CorpusExecutor(const BatchQueryExecutor* executor,
                           BoundCache* bound_cache = nullptr,
                           size_t num_shards = 1)

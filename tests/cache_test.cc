@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -436,8 +437,11 @@ TEST(BoundCacheTest, EntryCapAlsoBoundsStoredTwigTexts) {
 
 class SystemCacheTest : public ::testing::Test {
  protected:
-  // The dataset (D7's matcher run included) and its documents are built
-  // once per suite; every test builds its own systems over them.
+  // The dataset (D7's matcher run included), its documents and the
+  // prepared D7 pair are built once per suite: the pair is prepared once
+  // and saved as a snapshot, and every test restores its own systems
+  // from that file instead of re-running matching, top-h and the block
+  // tree per system.
   static void SetUpTestSuite() {
     auto d = LoadDataset("D7");
     ASSERT_TRUE(d.ok());
@@ -446,28 +450,47 @@ class SystemCacheTest : public ::testing::Test {
         *dataset_->source, DocGenOptions{.seed = 42, .target_nodes = 300}));
     doc2_ = std::make_unique<Document>(GenerateDocument(
         *dataset_->source, DocGenOptions{.seed = 99, .target_nodes = 300}));
+    UncertainMatchingSystem prepared(Options(/*cache_enabled=*/true));
+    ASSERT_TRUE(
+        prepared.Prepare(dataset_->source.get(), dataset_->target.get())
+            .ok());
+    ASSERT_TRUE(prepared.SaveSnapshot(kSnapshotPath).ok());
+    snapshot_saved_ = true;
   }
 
   static void TearDownTestSuite() {
+    std::remove(kSnapshotPath);
+    snapshot_saved_ = false;
     doc2_.reset();
     doc_.reset();
     dataset_.reset();
   }
 
-  void SetUp() override { ASSERT_NE(doc2_, nullptr); }
+  void SetUp() override {
+    ASSERT_NE(doc2_, nullptr);
+    ASSERT_TRUE(snapshot_saved_);
+  }
 
-  SystemOptions Options(bool cache_enabled) const {
+  static SystemOptions Options(bool cache_enabled) {
     SystemOptions opts;
     opts.top_h.h = 12;
     opts.cache.enable_result_cache = cache_enabled;
     return opts;
   }
 
-  std::unique_ptr<UncertainMatchingSystem> MakeSystem(bool cache_enabled) {
+  /// A fresh system serving the D7 pair with doc_ attached. The pair is
+  /// restored from the suite's snapshot; `prepare` builds it with
+  /// Prepare instead, for the cases that test Prepare itself.
+  std::unique_ptr<UncertainMatchingSystem> MakeSystem(bool cache_enabled,
+                                                      bool prepare = false) {
     auto sys = std::make_unique<UncertainMatchingSystem>(
         Options(cache_enabled));
-    EXPECT_TRUE(
-        sys->Prepare(dataset_->source.get(), dataset_->target.get()).ok());
+    if (prepare) {
+      EXPECT_TRUE(
+          sys->Prepare(dataset_->source.get(), dataset_->target.get()).ok());
+    } else {
+      EXPECT_TRUE(sys->LoadSnapshot(kSnapshotPath).ok());
+    }
     EXPECT_TRUE(sys->AttachDocument(doc_.get()).ok());
     return sys;
   }
@@ -484,14 +507,17 @@ class SystemCacheTest : public ::testing::Test {
     }
   }
 
+  static constexpr const char* kSnapshotPath = "cache_test_d7.uxmsnap";
   static std::unique_ptr<Dataset> dataset_;
   static std::unique_ptr<Document> doc_;
   static std::unique_ptr<Document> doc2_;
+  static bool snapshot_saved_;
 };
 
 std::unique_ptr<Dataset> SystemCacheTest::dataset_;
 std::unique_ptr<Document> SystemCacheTest::doc_;
 std::unique_ptr<Document> SystemCacheTest::doc2_;
+bool SystemCacheTest::snapshot_saved_ = false;
 
 // Re-registering a document (RemoveDocument + AddDocument under one name)
 // mints a fresh epoch each time; the removed registration's bounds are
@@ -575,7 +601,7 @@ TEST_F(SystemCacheTest, AttachDocumentInvalidatesCachedAnswers) {
 }
 
 TEST_F(SystemCacheTest, PrepareInvalidatesCachedAnswersAndCompiler) {
-  auto sys = MakeSystem(true);
+  auto sys = MakeSystem(true, /*prepare=*/true);
   const std::string q = TableIIIQueries()[0];
   ASSERT_TRUE(sys->Query(q).ok());
   ASSERT_TRUE(

@@ -1,11 +1,12 @@
-// Sharded corpus serving unit tests: the stable name-hash assignment,
-// the ShardedDocumentStore partition invariant, and the facade's sharded
-// scatter-gather path (shard reports, shard accessors, per-shard
-// snapshot export guards). The exactness sweep across shard counts lives
-// in sharded_differential_test.cc; the mutation/query race lives in
-// shard_stress_test.cc.
+// Sharded corpus serving unit tests: the stable name-hash assignment
+// corpus runs slice by, and the facade's sharded scatter-gather path
+// (shard reports, shard accessors, per-shard snapshot export guards).
+// The corpus itself is one DocumentStore (its semantics are pinned in
+// corpus_test.cc); the per-shard snapshot partition, removals included,
+// is pinned in snapshot_test.cc. The exactness sweep across shard counts
+// lives in sharded_differential_test.cc; the mutation/query race lives
+// in shard_stress_test.cc.
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -13,15 +14,11 @@
 
 #include "common/checksum.h"
 #include "core/system.h"
-#include "shard/sharded_store.h"
-#include "test_util.h"
+#include "corpus/corpus_executor.h"
 #include "workload/corpus_generator.h"
 
 namespace uxm {
 namespace {
-
-using testutil::MakePaperExample;
-using testutil::PaperExample;
 
 // ---------------------------------------------------------- assignment
 
@@ -47,122 +44,6 @@ TEST(ShardAssignmentTest, DefaultShardCountIsBoundedAndPositive) {
   const int count = DefaultShardCount();
   EXPECT_GE(count, 1);
   EXPECT_LE(count, 8);
-}
-
-// --------------------------------------------------------------- store
-
-class ShardedStoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    example_ = MakePaperExample();
-    auto bound =
-        AnnotatedDocument::Bind(example_.doc.get(), example_.source.get());
-    ASSERT_TRUE(bound.ok());
-    annotated_ = std::make_shared<const AnnotatedDocument>(
-        std::move(bound).ValueOrDie());
-    pair_ = testutil::MakePaperPair(example_);
-  }
-
-  CorpusDocument Entry(const std::string& name, uint64_t epoch = 1) const {
-    return CorpusDocument{name, example_.doc.get(), annotated_, epoch, pair_};
-  }
-
-  /// The structural invariant of every published snapshot: `all` and the
-  /// shard views are name-sorted, the shards are disjoint, their union
-  /// is `all`, and every document sits in its name's shard.
-  static void ExpectPartitionInvariant(const ShardedCorpusSnapshot& snap) {
-    std::set<std::string> merged;
-    for (const CorpusDocument& e : *snap.all) {
-      EXPECT_TRUE(merged.insert(e.name).second) << e.name;
-    }
-    std::set<std::string> from_shards;
-    for (size_t s = 0; s < snap.shards.size(); ++s) {
-      ASSERT_NE(snap.shards[s], nullptr);
-      std::string prev;
-      for (const CorpusDocument& e : *snap.shards[s]) {
-        EXPECT_EQ(ShardForDocument(e.name, snap.shards.size()), s) << e.name;
-        EXPECT_TRUE(from_shards.insert(e.name).second) << e.name;
-        EXPECT_LT(prev, e.name);  // name-sorted within the shard
-        prev = e.name;
-      }
-    }
-    EXPECT_EQ(merged, from_shards);
-    for (size_t i = 1; i < snap.all->size(); ++i) {
-      EXPECT_LT((*snap.all)[i - 1].name, (*snap.all)[i].name);
-    }
-  }
-
-  PaperExample example_;
-  std::shared_ptr<const AnnotatedDocument> annotated_;
-  std::shared_ptr<const PreparedSchemaPair> pair_;
-};
-
-TEST_F(ShardedStoreTest, PartitionsByNameHashAndMirrorsDocumentStore) {
-  ShardedDocumentStore store(4);
-  EXPECT_EQ(store.num_shards(), 4u);
-  const std::vector<std::string> names = {"a", "b", "c", "doc-00", "doc-01",
-                                          "doc-02", "x", "y", "z"};
-  for (const std::string& name : names) {
-    ASSERT_TRUE(store.Add(Entry(name)).ok());
-    EXPECT_EQ(store.ShardOf(name), ShardForDocument(name, 4));
-  }
-  EXPECT_EQ(store.size(), names.size());
-  EXPECT_EQ(store.Names(), names);  // already sorted
-  ExpectPartitionInvariant(*store.Snapshot());
-
-  // Duplicate names are rejected globally (one name = one shard).
-  EXPECT_EQ(store.Add(Entry("a")).code(), StatusCode::kAlreadyExists);
-  ASSERT_TRUE(store.Remove("b").ok());
-  EXPECT_TRUE(store.Remove("b").IsNotFound());
-  EXPECT_EQ(store.size(), names.size() - 1);
-  ExpectPartitionInvariant(*store.Snapshot());
-
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  ExpectPartitionInvariant(*store.Snapshot());
-}
-
-TEST_F(ShardedStoreTest, SnapshotsAreImmutableConsistentInstants) {
-  ShardedDocumentStore store(3);
-  ASSERT_TRUE(store.Add(Entry("a")).ok());
-  auto before = store.Snapshot();
-  ASSERT_TRUE(store.Add(Entry("b")).ok());
-  ASSERT_TRUE(store.Remove("a").ok());
-  // The earlier snapshot still sees exactly its instant, merged AND
-  // per-shard.
-  ASSERT_EQ(before->all->size(), 1u);
-  EXPECT_EQ((*before->all)[0].name, "a");
-  ExpectPartitionInvariant(*before);
-  auto after = store.Snapshot();
-  ASSERT_EQ(after->all->size(), 1u);
-  EXPECT_EQ((*after->all)[0].name, "b");
-  ExpectPartitionInvariant(*after);
-}
-
-TEST_F(ShardedStoreTest, PairWideOperationsFanOutOverEveryShard) {
-  ShardedDocumentStore store(4);
-  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f"};
-  for (const std::string& name : names) {
-    ASSERT_TRUE(store.Add(Entry(name, 5)).ok());
-  }
-  // Rebind touches every shard's entries of the pair's key.
-  auto reprepared = testutil::MakePaperPair(example_);
-  EXPECT_EQ(store.RebindPair(reprepared, 9),
-            static_cast<int>(names.size()));
-  for (const CorpusDocument& e : *store.Snapshot()->all) {
-    EXPECT_EQ(e.epoch, 9u);
-    EXPECT_EQ(e.pair.get(), reprepared.get());
-  }
-  store.Restamp(12);
-  for (const CorpusDocument& e : *store.Snapshot()->all) {
-    EXPECT_EQ(e.epoch, 12u);
-  }
-  // Dropping the pair empties every shard at once.
-  EXPECT_EQ(store.RemovePairDocuments(example_.source.get(),
-                                      example_.target.get()),
-            static_cast<int>(names.size()));
-  EXPECT_EQ(store.size(), 0u);
-  ExpectPartitionInvariant(*store.Snapshot());
 }
 
 // -------------------------------------------------------------- facade

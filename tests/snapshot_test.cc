@@ -340,44 +340,52 @@ TEST_F(SnapshotTest, ShardSnapshotsPartitionTheCorpusAndRoundTrip) {
   opts.corpus_shards = 3;
   UncertainMatchingSystem sys(opts);
   FillSystem(&sys);
-  const std::vector<std::string> all_names = sys.CorpusDocumentNames();
 
-  std::vector<std::string> shard_paths;
-  std::vector<std::string> seen;  // union of the per-shard corpora
-  size_t docs_total = 0;
-  for (size_t s = 0; s < sys.corpus_shard_count(); ++s) {
-    shard_paths.push_back(path_ + ".shard" + std::to_string(s));
-    SnapshotStats stats;
-    ASSERT_TRUE(sys.SaveShardSnapshot(s, shard_paths[s], &stats).ok());
-    EXPECT_EQ(stats.pairs, 2u);  // every pair rides in every shard file
-    docs_total += stats.documents;
-
-    // A shard file is an ordinary snapshot: an UNsharded replica loads
-    // it and holds exactly the documents that route to shard s.
-    UncertainMatchingSystem replica(Options());
-    ASSERT_TRUE(replica.LoadSnapshot(shard_paths[s]).ok());
-    EXPECT_EQ(replica.pair_count(), 2u);
-    for (const std::string& name : replica.CorpusDocumentNames()) {
-      EXPECT_EQ(sys.CorpusShardOf(name), s) << name;
-      seen.push_back(name);
+  // Round 0 exports the filled corpus; round 1 removes one document
+  // first, so the partition is re-checked after a mutation.
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      ASSERT_TRUE(sys.RemoveDocument(sys.CorpusDocumentNames()[0]).ok());
     }
+    const std::vector<std::string> all_names = sys.CorpusDocumentNames();
 
-    // Shard assignment is a pure function of the document name, so a
-    // SHARDED replica with the same shard count routes every restored
-    // document straight back to shard s — the property a coordinator
-    // relies on when it rehydrates one shard replica from its file.
-    UncertainMatchingSystem sharded_replica(opts);
-    ASSERT_TRUE(sharded_replica.LoadSnapshot(shard_paths[s]).ok());
-    for (const std::string& name : sharded_replica.CorpusDocumentNames()) {
-      EXPECT_EQ(sharded_replica.CorpusShardOf(name), s) << name;
+    std::vector<std::string> shard_paths;
+    std::vector<std::string> seen;  // union of the per-shard corpora
+    size_t docs_total = 0;
+    for (size_t s = 0; s < sys.corpus_shard_count(); ++s) {
+      shard_paths.push_back(path_ + ".shard" + std::to_string(s));
+      SnapshotStats stats;
+      ASSERT_TRUE(sys.SaveShardSnapshot(s, shard_paths[s], &stats).ok());
+      EXPECT_EQ(stats.pairs, 2u);  // every pair rides in every shard file
+      docs_total += stats.documents;
+
+      // A shard file is an ordinary snapshot: an UNsharded replica loads
+      // it and holds exactly the documents that route to shard s.
+      UncertainMatchingSystem replica(Options());
+      ASSERT_TRUE(replica.LoadSnapshot(shard_paths[s]).ok());
+      EXPECT_EQ(replica.pair_count(), 2u);
+      for (const std::string& name : replica.CorpusDocumentNames()) {
+        EXPECT_EQ(sys.CorpusShardOf(name), s) << name;
+        seen.push_back(name);
+      }
+
+      // Shard assignment is a pure function of the document name, so a
+      // SHARDED replica with the same shard count routes every restored
+      // document straight back to shard s — the property a coordinator
+      // relies on when it rehydrates one shard replica from its file.
+      UncertainMatchingSystem sharded_replica(opts);
+      ASSERT_TRUE(sharded_replica.LoadSnapshot(shard_paths[s]).ok());
+      for (const std::string& name : sharded_replica.CorpusDocumentNames()) {
+        EXPECT_EQ(sharded_replica.CorpusShardOf(name), s) << name;
+      }
     }
+    // The shard files partition the corpus: disjoint (each name routed
+    // to exactly one shard above) and jointly exhaustive.
+    EXPECT_EQ(docs_total, all_names.size());
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, all_names);
+    for (const std::string& p : shard_paths) std::remove(p.c_str());
   }
-  // The shard files partition the corpus: disjoint (each name routed to
-  // exactly one shard above) and jointly exhaustive.
-  EXPECT_EQ(docs_total, all_names.size());
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, all_names);
-  for (const std::string& p : shard_paths) std::remove(p.c_str());
 }
 
 TEST_F(SnapshotTest, ShardedAndUnshardedSystemsExchangeFullSnapshots) {

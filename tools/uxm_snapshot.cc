@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "shard/sharded_store.h"
+#include "corpus/corpus_executor.h"
 #include "snapshot/snapshot_format.h"
 #include "snapshot/snapshot_loader.h"
 
